@@ -289,13 +289,18 @@ fn report_durability(requests_per_client: usize) {
             &rows,
         )
     );
+    // Two prices: what the WAL costs at all (entry encode, frame, resident
+    // copy, write — against no log), and what the fsync *policy* costs on
+    // top of that (against a WAL that never fsyncs). CI gates the second.
     let ratio = ingest_rps["batch"] / ingest_rps["memory"].max(1e-9);
+    let policy_ratio = ingest_rps["batch"] / ingest_rps["never"].max(1e-9);
     println!(
-        "\nbatch fsync sustains {:.0}% of in-memory ingest throughput\n",
-        ratio * 100.0
+        "\nbatch fsync sustains {:.0}% of in-memory and {:.0}% of never-fsync ingest throughput\n",
+        ratio * 100.0,
+        policy_ratio * 100.0
     );
     let json = format!(
-        "{{\n  \"benchmark\": \"prov-server-durability\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests_per_client},\n  \"modes\": [\n    {}\n  ],\n  \"batch_vs_memory_ratio\": {ratio:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"prov-server-durability\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests_per_client},\n  \"modes\": [\n    {}\n  ],\n  \"batch_vs_memory_ratio\": {ratio:.3},\n  \"batch_vs_never_ratio\": {policy_ratio:.3}\n}}\n",
         modes_json.join(",\n    ")
     );
     match std::fs::write("BENCH_durability.json", &json) {

@@ -10,6 +10,7 @@ use crate::error::PqlError;
 use crate::parser::parse;
 use prov_core::model::RetrospectiveProvenance;
 use prov_store::StoreStats;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wf_engine::ExecId;
 use wf_model::NodeId;
@@ -146,6 +147,91 @@ struct ExecInfo {
     status: String,
 }
 
+/// A secondary index: lowercased field value → the primary keys carrying
+/// it. Each posting is an ordered set, so it enumerates in primary-key
+/// (scan) order however the keys arrived, and one insert or remove costs
+/// O(log posting) — random `u64` artifact hashes included.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Postings<K>(BTreeMap<String, BTreeSet<K>>);
+
+impl<K> Default for Postings<K> {
+    fn default() -> Self {
+        Postings(BTreeMap::new())
+    }
+}
+
+impl<K: Ord> Postings<K> {
+    pub(crate) fn insert(&mut self, value: &str, key: K) {
+        self.0.entry(value.to_lowercase()).or_default().insert(key);
+    }
+
+    /// Remove `key` from `value`'s posting; an emptied posting is dropped.
+    fn remove(&mut self, value: &str, key: &K) {
+        if let Entry::Occupied(mut posting) = self.0.entry(value.to_lowercase()) {
+            posting.get_mut().remove(key);
+            if posting.get().is_empty() {
+                posting.remove();
+            }
+        }
+    }
+
+    /// The posting of `value`, in key order (empty for an unknown value).
+    pub(crate) fn get(&self, value: &str) -> impl ExactSizeIterator<Item = &K> {
+        self.0
+            .get(&value.to_lowercase())
+            .map(BTreeSet::iter)
+            .unwrap_or_default()
+    }
+
+    /// Counted probe: one keyed lookup plus one node read per posting
+    /// entry, which come out in scan order.
+    pub(crate) fn probe<'a>(
+        &'a self,
+        stats: &StoreStats,
+        value: &str,
+    ) -> impl Iterator<Item = K> + 'a
+    where
+        K: Copy,
+    {
+        stats.add_keyed_lookups(1);
+        let posting = self.get(value);
+        stats.add_node_reads(posting.len() as u64);
+        posting.copied()
+    }
+}
+
+/// Enter every artifact `retro` mentions into a `hash → dtype` catalog and
+/// its dtype index: the described ones with their dtype, those a run only
+/// names on a port with none. The first writer's dtype wins, so an artifact
+/// is indexed exactly once, when it is first seen.
+pub(crate) fn note_artifacts(
+    catalog: &mut BTreeMap<u64, String>,
+    dtype_index: &mut Postings<u64>,
+    retro: &RetrospectiveProvenance,
+) {
+    let described = retro.artifacts.iter().map(|(h, a)| (*h, a.dtype.as_str()));
+    let named = retro
+        .runs
+        .iter()
+        .flat_map(|run| run.inputs.iter().chain(&run.outputs))
+        .filter(|(_, h)| !retro.artifacts.contains_key(h))
+        .map(|(_, h)| (*h, ""));
+    for (h, dtype) in described.chain(named) {
+        if let Entry::Vacant(slot) = catalog.entry(h) {
+            dtype_index.insert(dtype, h);
+            slot.insert(dtype.to_string());
+        }
+    }
+}
+
+/// The keys a run's module identity is indexed under: the full
+/// `name@version` form and, when it differs, the bare name — mirroring the
+/// module `=` semantics in `compare`.
+fn module_keys(identity: &str) -> impl Iterator<Item = &str> {
+    let bare = identity.split('@').next().unwrap_or_default();
+    std::iter::once(identity).chain((bare != identity).then_some(bare))
+}
+
 /// The PQL query engine: ingest provenance, evaluate query strings.
 #[derive(Debug, Default)]
 pub struct PqlEngine {
@@ -154,16 +240,16 @@ pub struct PqlEngine {
     artifacts: BTreeMap<u64, String>,
     succ: BTreeMap<PNode, Vec<PNode>>,
     pred: BTreeMap<PNode, Vec<PNode>>,
+    /// Dataflow edges held in `succ` (the cost model reads it per query).
+    edges: usize,
     stats: StoreStats,
-    // Secondary indexes for the cost-based optimizer (crate::optimize).
-    // Keys are lowercased; module identities are indexed under both the
-    // full `name@version` form and the bare name, mirroring the module
-    // `=` semantics in `compare`. Postings are rebuilt after each ingest
-    // by iterating the primary maps, so they stay in scan (key) order —
-    // index-driven evaluation preserves naive result order.
-    module_index: BTreeMap<String, Vec<(ExecId, NodeId)>>,
-    status_index: BTreeMap<String, Vec<(ExecId, NodeId)>>,
-    dtype_index: BTreeMap<String, Vec<u64>>,
+    // Secondary indexes for the cost-based optimizer (crate::optimize),
+    // maintained by `ingest` at the point each run or artifact is written:
+    // new keys are inserted, and a run that is overwritten with another
+    // identity or status leaves its old postings first.
+    module_index: Postings<(ExecId, NodeId)>,
+    status_index: Postings<(ExecId, NodeId)>,
+    dtype_index: Postings<u64>,
     generation: u64,
 }
 
@@ -173,8 +259,12 @@ impl PqlEngine {
         Self::default()
     }
 
-    /// Ingest one execution's provenance.
+    /// Ingest one execution's provenance. The cost does not depend on how
+    /// much is already stored: every map, posting and counter is updated
+    /// where it changes. Bumping the generation invalidates cached results
+    /// (see `optimize::QueryCache`).
     pub fn ingest(&mut self, retro: &RetrospectiveProvenance) {
+        self.generation += 1;
         self.execs.insert(
             retro.exec,
             ExecInfo {
@@ -182,56 +272,31 @@ impl PqlEngine {
                 status: retro.status.to_string(),
             },
         );
-        for (h, a) in &retro.artifacts {
-            self.artifacts.entry(*h).or_insert_with(|| a.dtype.clone());
-        }
+        note_artifacts(&mut self.artifacts, &mut self.dtype_index, retro);
         for run in &retro.runs {
+            let key = (retro.exec, run.node);
+            let info = RunInfo {
+                identity: run.identity.clone(),
+                status: run.status.to_string(),
+                attempts: run.attempts,
+            };
+            if let Some(old) = self.runs.insert(key, info) {
+                for module in module_keys(&old.identity) {
+                    self.module_index.remove(module, &key);
+                }
+                self.status_index.remove(&old.status, &key);
+            }
+            for module in module_keys(&run.identity) {
+                self.module_index.insert(module, key);
+            }
+            self.status_index.insert(&self.runs[&key].status, key);
             let r = PNode::Run(retro.exec, run.node);
-            self.runs.insert(
-                (retro.exec, run.node),
-                RunInfo {
-                    identity: run.identity.clone(),
-                    status: run.status.to_string(),
-                    attempts: run.attempts,
-                },
-            );
             for (_, h) in &run.inputs {
-                self.artifacts.entry(*h).or_default();
                 self.edge(PNode::Artifact(*h), r);
             }
             for (_, h) in &run.outputs {
-                self.artifacts.entry(*h).or_default();
                 self.edge(r, PNode::Artifact(*h));
             }
-        }
-        self.rebuild_indexes();
-    }
-
-    /// Rebuild the secondary indexes from the primary maps. Iterating the
-    /// BTreeMaps keeps every posting list in scan order; bumping the
-    /// generation invalidates cached results (see `optimize::QueryCache`).
-    fn rebuild_indexes(&mut self) {
-        self.generation += 1;
-        self.module_index.clear();
-        self.status_index.clear();
-        self.dtype_index.clear();
-        for (&key, info) in &self.runs {
-            let full = info.identity.to_lowercase();
-            let bare = full.split('@').next().unwrap_or_default().to_string();
-            if bare != full {
-                self.module_index.entry(bare).or_default().push(key);
-            }
-            self.module_index.entry(full).or_default().push(key);
-            self.status_index
-                .entry(info.status.to_lowercase())
-                .or_default()
-                .push(key);
-        }
-        for (&h, dtype) in &self.artifacts {
-            self.dtype_index
-                .entry(dtype.to_lowercase())
-                .or_default()
-                .push(h);
         }
     }
 
@@ -240,6 +305,7 @@ impl PqlEngine {
         if !s.contains(&to) {
             s.push(to);
             self.pred.entry(to).or_default().push(from);
+            self.edges += 1;
         }
     }
 
@@ -569,7 +635,7 @@ impl PqlEngine {
 
     /// Number of dataflow edges (each counted once, in the succ direction).
     pub fn edge_count(&self) -> usize {
-        self.succ.values().map(Vec::len).sum()
+        self.edges
     }
 
     /// Index generation: bumped on every ingest. Cached query results tagged
@@ -588,46 +654,34 @@ impl PqlEngine {
 
     // ---- secondary-index accessors (the optimizer's access layer) -------
 
-    /// Counted probe of a run index (`module` or `status`): one keyed
-    /// lookup plus one node read per posting entry. Returns `None` for
-    /// fields that have no run index; an unknown key is an empty posting.
-    pub(crate) fn probe_run_index(&self, field: Field, value: &str) -> Option<&[(ExecId, NodeId)]> {
+    /// Counted probe of a run index (`module` or `status`). Returns `None`
+    /// for fields that have no run index; an unknown key is an empty
+    /// posting.
+    pub(crate) fn probe_run_index(
+        &self,
+        field: Field,
+        value: &str,
+    ) -> Option<impl Iterator<Item = (ExecId, NodeId)> + '_> {
         let index = match field {
             Field::Module => &self.module_index,
             Field::Status => &self.status_index,
             _ => return None,
         };
-        self.stats.add_keyed_lookups(1);
-        let posting = index
-            .get(&value.to_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        self.stats.add_node_reads(posting.len() as u64);
-        Some(posting)
+        Some(index.probe(&self.stats, value))
     }
 
     /// Counted probe of the artifact `dtype` index.
-    pub(crate) fn probe_artifact_index(&self, value: &str) -> &[u64] {
-        self.stats.add_keyed_lookups(1);
-        let posting = self
-            .dtype_index
-            .get(&value.to_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        self.stats.add_node_reads(posting.len() as u64);
-        posting
+    pub(crate) fn probe_artifact_index(&self, value: &str) -> impl Iterator<Item = u64> + '_ {
+        self.dtype_index.probe(&self.stats, value)
     }
 
     /// Uncounted posting length, for cost estimation only. `None` means the
     /// (entity, field) pair has no index.
     pub(crate) fn posting_len(&self, entity: Entity, field: Field, value: &str) -> Option<usize> {
-        let key = value.to_lowercase();
         match (entity, field) {
-            (Entity::Runs, Field::Module) => Some(self.module_index.get(&key).map_or(0, Vec::len)),
-            (Entity::Runs, Field::Status) => Some(self.status_index.get(&key).map_or(0, Vec::len)),
-            (Entity::Artifacts, Field::Dtype) => {
-                Some(self.dtype_index.get(&key).map_or(0, Vec::len))
-            }
+            (Entity::Runs, Field::Module) => Some(self.module_index.get(value).len()),
+            (Entity::Runs, Field::Status) => Some(self.status_index.get(value).len()),
+            (Entity::Artifacts, Field::Dtype) => Some(self.dtype_index.get(value).len()),
             _ => None,
         }
     }
@@ -641,6 +695,49 @@ impl PqlEngine {
             Entity::Artifacts => self.artifacts.len(),
             Entity::Executions => self.execs.len(),
         }
+    }
+}
+
+/// The dtype index of `catalog` built from scratch: the oracle the
+/// incrementally maintained one is held to.
+#[cfg(test)]
+pub(crate) fn rebuild_dtype_index(catalog: &BTreeMap<u64, String>) -> Postings<u64> {
+    let mut index = Postings::default();
+    for (&h, dtype) in catalog {
+        index.insert(dtype, h);
+    }
+    index
+}
+
+#[cfg(test)]
+impl PqlEngine {
+    /// The run indexes (module, status) built from scratch out of the
+    /// primary map: the oracle for the incrementally maintained ones.
+    fn rebuild_indexes(&self) -> [Postings<(ExecId, NodeId)>; 2] {
+        let mut module_index = Postings::default();
+        let mut status_index = Postings::default();
+        for (&key, info) in &self.runs {
+            for module in module_keys(&info.identity) {
+                module_index.insert(module, key);
+            }
+            status_index.insert(&info.status, key);
+        }
+        [module_index, status_index]
+    }
+
+    /// Panic unless every piece of state `ingest` maintains incrementally
+    /// equals its from-scratch recomputation.
+    pub(crate) fn assert_derived_state_matches_rebuild(&self) {
+        let [module_index, status_index] = self.rebuild_indexes();
+        assert_eq!(self.module_index, module_index, "module index");
+        assert_eq!(self.status_index, status_index, "status index");
+        assert_eq!(
+            self.dtype_index,
+            rebuild_dtype_index(&self.artifacts),
+            "dtype index"
+        );
+        let edges: usize = self.succ.values().map(Vec::len).sum();
+        assert_eq!(self.edges, edges, "edge counter");
     }
 }
 
@@ -806,43 +903,146 @@ mod tests {
 
     #[test]
     fn secondary_indexes_track_ingest_and_preserve_scan_order() {
-        let (mut e, ..) = engine();
+        let (mut e, retro, nodes) = engine();
         assert_eq!(e.generation(), 1);
+        let probe = |e: &PqlEngine, field, value: &str| -> Vec<(ExecId, NodeId)> {
+            e.probe_run_index(field, value).unwrap().collect()
+        };
         // Bare and full module keys point at the same runs.
-        let full = e.probe_run_index(Field::Module, "Histogram@1").unwrap();
+        let full = probe(&e, Field::Module, "Histogram@1");
         assert_eq!(full.len(), 1);
-        let bare: Vec<_> = e
-            .probe_run_index(Field::Module, "histogram")
-            .unwrap()
-            .to_vec();
-        assert_eq!(bare, full.to_vec());
+        assert_eq!(probe(&e, Field::Module, "histogram"), full);
         // Status postings cover every run, in scan (key) order.
-        let all: Vec<_> = e
-            .probe_run_index(Field::Status, "succeeded")
-            .unwrap()
-            .to_vec();
+        let all = probe(&e, Field::Status, "succeeded");
         assert_eq!(all.len(), e.run_count());
-        let mut sorted = all.clone();
-        sorted.sort();
-        assert_eq!(all, sorted, "postings stay in scan order");
         // Unknown keys are empty postings, unindexed fields are None.
-        assert!(e.probe_run_index(Field::Status, "nope").unwrap().is_empty());
+        assert!(probe(&e, Field::Status, "nope").is_empty());
         assert!(e.probe_run_index(Field::Exec, "0").is_none());
         assert_eq!(
             e.posting_len(Entity::Artifacts, Field::Dtype, "grid"),
             Some(1)
         );
-        // Re-ingesting bumps the generation and refreshes postings.
-        let (wf, _) = figure1_workflow(1);
-        let exec = Executor::new(standard_registry());
-        let mut cap = ProvenanceCapture::new(CaptureLevel::Fine);
-        let r = exec.run_observed(&wf, &mut cap).unwrap();
-        e.ingest(&cap.take(r.exec).unwrap());
-        assert_eq!(e.generation(), 2);
+        // An execution with a smaller id arriving after a larger one lands
+        // before it: postings enumerate like a scan whatever the order of
+        // arrival.
+        let mut early = retro.clone();
+        early.exec = ExecId(retro.exec.0 + 3);
+        let mut late = retro.clone();
+        late.exec = ExecId(retro.exec.0 + 9);
+        e.ingest(&late);
+        e.ingest(&early);
+        assert_eq!(e.generation(), 3);
+        let all = probe(&e, Field::Status, "succeeded");
+        let scan: Vec<_> = e.runs.keys().copied().collect();
+        assert_eq!(all, scan, "postings stay in scan order");
+        // Overwriting a run with another identity and status moves its
+        // postings instead of leaving the old ones behind.
+        let key = (late.exec, nodes.hist);
+        let run = late.runs.iter_mut().find(|r| r.node == nodes.hist).unwrap();
+        run.identity = "Histogram@2".into();
+        run.status = wf_engine::RunStatus::Failed;
+        e.ingest(&late);
+        assert_eq!(probe(&e, Field::Status, "failed"), vec![key]);
+        assert_eq!(probe(&e, Field::Module, "histogram@2"), vec![key]);
+        assert!(!probe(&e, Field::Module, "histogram@1").contains(&key));
+        assert_eq!(probe(&e, Field::Module, "histogram").len(), 3);
         assert_eq!(
-            e.probe_run_index(Field::Status, "succeeded").unwrap().len(),
-            e.run_count()
+            probe(&e, Field::Status, "succeeded").len(),
+            e.run_count() - 1
         );
+        e.assert_derived_state_matches_rebuild();
+    }
+
+    /// A seeded generator of small, collision-heavy provenance records:
+    /// few exec ids (so re-ingests overwrite runs with other identities,
+    /// statuses and attempts), few artifact hashes (so an artifact is often
+    /// first seen as a bare input, before the record that types it).
+    fn random_retro(state: &mut u64) -> RetrospectiveProvenance {
+        use prov_core::model::{Artifact, Environment, ModuleRun};
+        use wf_engine::RunStatus;
+        let mut below = |n: u64| {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        const IDENTITIES: [&str; 6] =
+            ["Align@1", "Align@2", "align@1", "Warp", "Warp@1", "Slice@3"];
+        const STATUSES: [RunStatus; 3] =
+            [RunStatus::Succeeded, RunStatus::Failed, RunStatus::Skipped];
+        const DTYPES: [&str; 3] = ["grid", "Table", "bytes"];
+        let hash = |slot: u64| slot.wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(17);
+        let mut artifacts = BTreeMap::new();
+        let mut runs = Vec::new();
+        for node in 0..1 + below(4) {
+            // Up to `most - 1` ports; `typed` in 4 of their artifacts
+            // carry a dtype in this record.
+            let mut ports = |most: u64, typed: u64| -> Vec<(String, u64)> {
+                (0..below(most))
+                    .map(|i| {
+                        let h = hash(below(24));
+                        if below(4) < typed {
+                            artifacts.entry(h).or_insert_with(|| Artifact {
+                                hash: h,
+                                dtype: DTYPES[below(3) as usize].to_string(),
+                                size: 8,
+                                preview: None,
+                            });
+                        }
+                        (format!("p{i}"), h)
+                    })
+                    .collect()
+            };
+            let inputs = ports(4, 2);
+            let outputs = ports(3, 4);
+            runs.push(ModuleRun {
+                node: NodeId(node),
+                identity: IDENTITIES[below(6) as usize].to_string(),
+                params: Vec::new(),
+                status: STATUSES[below(3) as usize],
+                started_millis: 0,
+                elapsed_micros: 0,
+                from_cache: false,
+                error: None,
+                inputs,
+                outputs,
+                attempts: 1 + below(3) as u32,
+                backoff_micros: 0,
+            });
+        }
+        RetrospectiveProvenance {
+            exec: ExecId(below(12)),
+            workflow: wf_model::WorkflowId(1),
+            workflow_name: "w".into(),
+            status: RunStatus::Succeeded,
+            started_millis: 0,
+            finished_millis: 0,
+            runs,
+            artifacts,
+            environment: Environment::current(1),
+            resumed_from: None,
+        }
+    }
+
+    #[test]
+    fn incremental_indexes_equal_rebuild_after_every_ingest() {
+        for seed in 0..32u64 {
+            let mut state = seed;
+            let mut single = PqlEngine::new();
+            let mut sharded = crate::sharded::ShardedEngine::new(3);
+            for _ in 0..48 {
+                let retro = random_retro(&mut state);
+                single.ingest(&retro);
+                sharded.ingest(&retro);
+                single.assert_derived_state_matches_rebuild();
+                sharded.assert_derived_state_matches_rebuild();
+                assert_eq!(
+                    sharded.cost_model(),
+                    crate::plan::CostModel::of_engine(&single)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cost-based optimization for PQL plans.
 //!
 //! [`Plan::of`] derives the naive operator tree; this module rewrites it
-//! when the engine's secondary indexes (see `PqlEngine::rebuild_indexes`)
+//! when the engine's secondary indexes (maintained by `PqlEngine::ingest`)
 //! and a [`CostModel`] over stored cardinalities say an alternative is
 //! cheaper:
 //!
@@ -302,9 +302,7 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
                 Entity::Runs => {
                     let mut set: BTreeSet<(ExecId, NodeId)> = BTreeSet::new();
                     for (field, value) in &keys {
-                        for &key in engine.probe_run_index(*field, value).unwrap_or(&[]) {
-                            set.insert(key);
-                        }
+                        set.extend(engine.probe_run_index(*field, value).into_iter().flatten());
                     }
                     set.into_iter()
                         .map(|(e, n)| ScanItem::Node(PNode::Run(e, n)))

@@ -31,7 +31,7 @@
 
 use crate::ast::*;
 use crate::error::PqlError;
-use crate::eval::{PNode, PqlEngine, QueryResult, ResultNode, ScanItem};
+use crate::eval::{note_artifacts, PNode, Postings, PqlEngine, QueryResult, ResultNode, ScanItem};
 use crate::optimize::{optimize_with, Optimization, QueryCache, Rewrite};
 use crate::parser::parse;
 use crate::plan::{Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp};
@@ -73,8 +73,8 @@ pub struct ShardedEngine {
     art_succ: BTreeMap<u64, Vec<PNode>>,
     /// Runs producing the artifact (the single engine's `pred[Artifact]`).
     art_pred: BTreeMap<u64, Vec<PNode>>,
-    /// Global dtype index, rebuilt from the catalog after each ingest.
-    dtype_index: BTreeMap<String, Vec<u64>>,
+    /// Global dtype index over the catalog.
+    dtype_index: Postings<u64>,
     /// Raises `generation()` above the shard sum after WAL recovery.
     gen_floor: u64,
     /// Cache-partitioning backend key, `sharded(N)`.
@@ -106,7 +106,7 @@ impl ShardedEngine {
             catalog: BTreeMap::new(),
             art_succ: BTreeMap::new(),
             art_pred: BTreeMap::new(),
-            dtype_index: BTreeMap::new(),
+            dtype_index: Postings::default(),
             gen_floor: 0,
             backend_key: format!("sharded({n})"),
         }
@@ -198,13 +198,10 @@ impl ShardedEngine {
     /// artifact-side adjacency on the coordinator (in exactly the order the
     /// single engine would), then route the document to its shard.
     pub fn ingest(&mut self, retro: &RetrospectiveProvenance) {
-        for (h, a) in &retro.artifacts {
-            self.catalog.entry(*h).or_insert_with(|| a.dtype.clone());
-        }
+        note_artifacts(&mut self.catalog, &mut self.dtype_index, retro);
         for run in &retro.runs {
             let r = PNode::Run(retro.exec, run.node);
             for (_, h) in &run.inputs {
-                self.catalog.entry(*h).or_default();
                 // Mirrors the single engine's `edge(Artifact, run)` dedupe:
                 // the succ side is the pushed-together witness.
                 let s = self.art_succ.entry(*h).or_default();
@@ -213,7 +210,6 @@ impl ShardedEngine {
                 }
             }
             for (_, h) in &run.outputs {
-                self.catalog.entry(*h).or_default();
                 // `edge(run, Artifact)` pushes pred[artifact] iff
                 // succ[run] gains the edge; both sides are pushed together,
                 // so pred containment is an equivalent dedupe witness.
@@ -222,13 +218,6 @@ impl ShardedEngine {
                     p.push(r);
                 }
             }
-        }
-        self.dtype_index.clear();
-        for (&h, dtype) in &self.catalog {
-            self.dtype_index
-                .entry(dtype.to_lowercase())
-                .or_default()
-                .push(h);
         }
         let s = self.route(retro.exec);
         self.shards[s].ingest(retro);
@@ -280,15 +269,8 @@ impl ShardedEngine {
         items
     }
 
-    fn probe_dtype_counted(&self, value: &str) -> &[u64] {
-        self.stats.add_keyed_lookups(1);
-        let posting = self
-            .dtype_index
-            .get(&value.to_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        self.stats.add_node_reads(posting.len() as u64);
-        posting
+    fn probe_dtype_counted(&self, value: &str) -> impl Iterator<Item = u64> + '_ {
+        self.dtype_index.probe(&self.stats, value)
     }
 
     /// Global posting length: coordinator dtype index for artifacts,
@@ -296,11 +278,7 @@ impl ShardedEngine {
     /// the optimizer's decision core.
     fn posting_len(&self, entity: Entity, field: Field, value: &str) -> Option<usize> {
         match (entity, field) {
-            (Entity::Artifacts, Field::Dtype) => Some(
-                self.dtype_index
-                    .get(&value.to_lowercase())
-                    .map_or(0, Vec::len),
-            ),
+            (Entity::Artifacts, Field::Dtype) => Some(self.dtype_index.get(value).len()),
             (Entity::Runs, Field::Module) | (Entity::Runs, Field::Status) => {
                 let mut total = 0usize;
                 for shard in &self.shards {
@@ -1259,7 +1237,7 @@ impl ShardedEngine {
                     let t0 = Instant::now();
                     let mut cnt = 0usize;
                     for (field, value) in &keys {
-                        for &key in shard.probe_run_index(*field, value).unwrap_or(&[]) {
+                        for key in shard.probe_run_index(*field, value).into_iter().flatten() {
                             cnt += 1;
                             set.insert(key);
                         }
@@ -1520,6 +1498,22 @@ fn scan_key(it: &ScanItem) -> (u64, u64) {
         ScanItem::Node(PNode::Run(e, n)) => (e.0, n.raw()),
         ScanItem::Exec(e) => (e.0, 0),
         ScanItem::Node(PNode::Artifact(h)) => (*h, 0),
+    }
+}
+
+#[cfg(test)]
+impl ShardedEngine {
+    /// Panic unless the coordinator's dtype index and every shard's
+    /// incrementally maintained state equal their from-scratch rebuilds.
+    pub(crate) fn assert_derived_state_matches_rebuild(&self) {
+        assert_eq!(
+            self.dtype_index,
+            crate::eval::rebuild_dtype_index(&self.catalog),
+            "coordinator dtype index"
+        );
+        for shard in &self.shards {
+            shard.assert_derived_state_matches_rebuild();
+        }
     }
 }
 

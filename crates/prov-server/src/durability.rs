@@ -39,7 +39,9 @@ pub struct DurabilityConfig {
     /// When WAL appends are forced to disk.
     pub fsync: FsyncPolicy,
     /// Auto-checkpoint (snapshot + compaction) once a namespace's live
-    /// tail holds this many records; 0 disables auto-checkpointing.
+    /// tail holds at least this many records and at least as many as the
+    /// snapshot it rewrites — the minimum tail length, not a period; 0
+    /// disables auto-checkpointing.
     pub checkpoint_every: u64,
     /// Deterministic I/O faults armed on every namespace WAL (tests only).
     pub fault_plan: Option<IoFaultPlan>,
@@ -47,7 +49,7 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability rooted at `data_dir` with the batch fsync default and
-    /// checkpoints every 256 records.
+    /// a 256-record minimum tail between checkpoints.
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             data_dir: data_dir.into(),
@@ -63,7 +65,7 @@ impl DurabilityConfig {
         self
     }
 
-    /// Set the auto-checkpoint threshold (0 = never).
+    /// Set the minimum live-tail length at which to checkpoint (0 = never).
     pub fn checkpoint_every(mut self, records: u64) -> Self {
         self.checkpoint_every = records;
         self

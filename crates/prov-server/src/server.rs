@@ -1976,6 +1976,38 @@ mod tests {
     }
 
     #[test]
+    fn fsync_histogram_counts_every_append_across_checkpoints() {
+        let dir = temp_data_dir("fsync-count");
+        let srv = Arc::new(ProvServer::new(ServerConfig {
+            durability: Some(
+                DurabilityConfig::new(&dir)
+                    .fsync(prov_store::wal::FsyncPolicy::Always)
+                    .checkpoint_every(2),
+            ),
+            ..ServerConfig::default()
+        }));
+        srv.recover().unwrap();
+        let session = srv.session("alice");
+        for seed in 1..=10 {
+            session.ingest("lab", &retro(seed)).unwrap();
+        }
+        let prom = srv.registry().render_prometheus();
+        let count = |series: &str| -> u64 {
+            let line = prom
+                .lines()
+                .find(|l| l.starts_with(&format!("{series}{{namespace=\"lab\"}}")))
+                .unwrap_or_else(|| panic!("no {series} in:\n{prom}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        // Checkpoints re-root the live tail (after 2, 4 and 8 appends);
+        // each append's fsync is still observed exactly once.
+        assert!(count("prov_wal_checkpoint_micros_count") >= 3);
+        assert_eq!(count("prov_wal_appends_total"), 10);
+        assert_eq!(count("prov_wal_fsync_micros_count"), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn request_ids_make_ingest_idempotent_across_restart() {
         let dir = temp_data_dir("dedupe");
         let first = {

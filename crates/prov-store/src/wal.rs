@@ -44,8 +44,9 @@
 //! live tail, chained off the snapshot's final hash so the pair is
 //! spliceproof as a unit).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -473,11 +474,17 @@ pub struct NamespaceWal {
     plan: Option<IoFaultPlan>,
     /// Generation recorded in the snapshot's meta record.
     base_generation: u64,
+    /// Records in the snapshot file, not counting its meta record.
+    snapshot_records: u64,
     /// Keyed payloads resident for the next checkpoint (snapshot + tail).
     resident: Vec<(u64, Vec<u8>)>,
-    /// Auto-checkpoint once the live tail holds this many records
-    /// (0 = only on explicit request).
+    /// Auto-checkpoint once the live tail holds at least this many records
+    /// *and* at least as many as the snapshot it would rewrite, so the
+    /// bytes checkpoints write stay within about twice the bytes appended
+    /// however large the namespace grows (0 = only on explicit request).
     pub checkpoint_every: u64,
+    /// Fsyncs completed by live tails that checkpoints have since replaced.
+    retired_syncs: u64,
     /// Completed checkpoints since open (for observability).
     checkpoints: u64,
     /// Wall-clock duration of the most recent checkpoint, in microseconds.
@@ -528,7 +535,7 @@ impl NamespaceWal {
         let mut base_generation = 0u64;
         let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut snapshot_records = 0u64;
-        for (i, payload) in snap.payloads.iter().enumerate() {
+        for (i, payload) in snap.payloads.into_iter().enumerate() {
             if i == 0 && payload.starts_with(SNAPSHOT_MAGIC) {
                 let tail = &payload[SNAPSHOT_MAGIC.len()..];
                 if tail.len() >= 8 {
@@ -537,7 +544,7 @@ impl NamespaceWal {
                 continue;
             }
             snapshot_records += 1;
-            entries.push((entry_key(payload), payload.clone()));
+            entries.push((entry_key(&payload), payload));
         }
 
         // 2. Replay the live tail, chained off the snapshot head so the
@@ -551,8 +558,8 @@ impl NamespaceWal {
             }
         }
         let wal_records = tail.payloads.len() as u64;
-        for payload in &tail.payloads {
-            entries.push((entry_key(payload), payload.clone()));
+        for payload in tail.payloads {
+            entries.push((entry_key(&payload), payload));
         }
 
         let recovery = WalRecovery {
@@ -569,8 +576,10 @@ impl NamespaceWal {
             policy,
             plan,
             base_generation,
+            snapshot_records,
             resident: entries,
             checkpoint_every: 0,
+            retired_syncs: 0,
             checkpoints: 0,
             last_checkpoint_micros: 0,
         };
@@ -582,7 +591,9 @@ impl NamespaceWal {
     pub fn append(&mut self, key: u64, payload: &[u8]) -> io::Result<()> {
         self.wal.append(payload)?;
         self.resident.push((key, payload.to_vec()));
-        if self.checkpoint_every > 0 && self.wal.records() >= self.checkpoint_every {
+        if self.checkpoint_every > 0
+            && self.wal.records() >= self.checkpoint_every.max(self.snapshot_records)
+        {
             // Auto-checkpoint failures must not fail the append: the
             // record is already durable in the live tail.
             let _ = self.checkpoint(self.generation());
@@ -616,9 +627,10 @@ impl NamespaceWal {
         &self.dir
     }
 
-    /// Completed fsyncs of the live tail since open.
+    /// Completed live-tail fsyncs since open, across every tail a
+    /// checkpoint has replaced.
     pub fn syncs(&self) -> u64 {
-        self.wal.syncs()
+        self.retired_syncs + self.wal.syncs()
     }
 
     /// Duration of the most recent live-tail fsync, in microseconds.
@@ -642,34 +654,35 @@ impl NamespaceWal {
     pub fn checkpoint(&mut self, generation: u64) -> io::Result<()> {
         let began = Instant::now();
         // Latest-wins compaction, preserving first-occurrence order — the
-        // same shape as LogStore::compact.
-        let mut order: Vec<u64> = Vec::new();
-        let mut latest: std::collections::HashMap<u64, &Vec<u8>> = std::collections::HashMap::new();
-        for (key, payload) in &self.resident {
-            if !latest.contains_key(key) {
-                order.push(*key);
+        // same shape as LogStore::compact. Done in place, moving payloads:
+        // should a later step fail, the compacted list still stands for
+        // the same records at the next attempt.
+        let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(self.resident.len());
+        let mut compacted: Vec<(u64, Vec<u8>)> = Vec::with_capacity(self.resident.len());
+        for (key, payload) in std::mem::take(&mut self.resident) {
+            match slot_of.entry(key) {
+                Entry::Occupied(slot) => compacted[*slot.get()].1 = payload,
+                Entry::Vacant(slot) => {
+                    slot.insert(compacted.len());
+                    compacted.push((key, payload));
+                }
             }
-            latest.insert(*key, payload);
         }
+        self.resident = compacted;
 
         // 1. Write the new snapshot to a temp file: meta record first,
         //    then the compacted payloads, all on one chain from genesis.
         let tmp = self.dir.join("snapshot.tmp");
-        let mut f = File::create(&tmp)?;
-        let mut chain = GENESIS_CHAIN;
+        let mut out = BufWriter::new(File::create(&tmp)?);
         let mut meta = SNAPSHOT_MAGIC.to_vec();
         meta.extend_from_slice(&generation.to_le_bytes());
-        let (frame, next) = encode_frame(chain, &meta);
-        f.write_all(&frame)?;
-        chain = next;
-        let mut compacted: Vec<(u64, Vec<u8>)> = Vec::with_capacity(order.len());
-        for key in &order {
-            let payload = latest[key];
+        let mut chain = GENESIS_CHAIN;
+        for payload in std::iter::once(&meta).chain(self.resident.iter().map(|(_, p)| p)) {
             let (frame, next) = encode_frame(chain, payload);
-            f.write_all(&frame)?;
+            out.write_all(&frame)?;
             chain = next;
-            compacted.push((*key, payload.clone()));
         }
+        let f = out.into_inner().map_err(io::IntoInnerError::into_error)?;
         // 2. The temp file must be durable *before* the rename publishes
         //    it — otherwise a crash can leave a named-but-empty snapshot.
         f.sync_all()?;
@@ -690,9 +703,10 @@ impl NamespaceWal {
             self.policy,
             self.plan.clone(),
         )?;
+        self.retired_syncs += self.wal.syncs();
         self.wal = wal;
         self.base_generation = generation;
-        self.resident = compacted;
+        self.snapshot_records = self.resident.len() as u64;
         self.checkpoints += 1;
         self.last_checkpoint_micros = began.elapsed().as_micros() as u64;
         Ok(())
@@ -840,6 +854,33 @@ mod tests {
         let payloads: Vec<&[u8]> = rec.entries.iter().map(|(_, p)| p.as_slice()).collect();
         assert_eq!(payloads, vec![&b"one-v2"[..], b"two", b"three", b"four"]);
         assert_eq!(ns.generation(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn auto_checkpoints_are_amortised_over_the_appends_between_them() {
+        let dir = temp_dir("amortised");
+        let (mut ns, _) = NamespaceWal::open(&dir, FsyncPolicy::Never).unwrap();
+        ns.checkpoint_every = 16;
+        let payload = |i: u32| i.to_le_bytes().to_vec();
+        for i in 0..4096u32 {
+            ns.append(u64::from(i), &payload(i)).unwrap();
+        }
+        // A snapshot is rewritten only once the tail has grown as long as
+        // it: 16, 16, 32, 64, ... — nine checkpoints, where one every 16
+        // appends would be 256.
+        assert!(ns.checkpoints() <= 12, "{} checkpoints", ns.checkpoints());
+        assert_eq!(ns.generation(), 4096);
+        drop(ns);
+
+        let (ns, rec) = NamespaceWal::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(rec.generation, 4096);
+        assert_eq!(rec.snapshot_records + rec.wal_records, 4096);
+        assert!(!rec.truncated, "{:?}", rec.tail_errors);
+        let expected: Vec<Vec<u8>> = (0..4096).map(payload).collect();
+        let got: Vec<Vec<u8>> = rec.entries.into_iter().map(|(_, p)| p).collect();
+        assert_eq!(got, expected);
+        assert_eq!(ns.generation(), 4096);
         std::fs::remove_dir_all(&dir).ok();
     }
 

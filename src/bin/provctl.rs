@@ -91,7 +91,9 @@ fn usage() -> ExitCode {
          \x20                                             answer queries by scatter-gather\n\
          \x20          [data_dir=DIR] [fsync=always|batch[:N[:US]]|never]\n\
          \x20          [checkpoint_every=N]                with data_dir, every acked ingest is\n\
-         \x20                                             WAL-durable and replayed on restart\n\
+         \x20                                             WAL-durable and replayed on restart;\n\
+         \x20                                             the log is compacted once its tail has\n\
+         \x20                                             N records and as many as the snapshot\n\
          \x20                                             (blocks; stop with 'client ... shutdown')\n\
          \x20          [slowlog_capacity=N] [slowlog_threshold_us=N]\n\
          \x20          [trace_capacity=N] [shed_first=N]    observability knobs: slow-query ring\n\
