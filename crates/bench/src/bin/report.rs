@@ -621,7 +621,9 @@ fn main() {
                 "off (us)",
                 "coarse (us)",
                 "fine (us)",
-                "fine overhead"
+                "fine overhead",
+                "coarse (bytes)",
+                "fine (bytes)"
             ],
             &rows
                 .iter()
@@ -632,6 +634,8 @@ fn main() {
                     format!("{:.0}", r.coarse_us),
                     format!("{:.0}", r.fine_us),
                     format!("{:+.1}%", r.fine_overhead_pct()),
+                    r.coarse_bytes.to_string(),
+                    r.fine_bytes.to_string(),
                 ])
                 .collect::<Vec<_>>(),
         )

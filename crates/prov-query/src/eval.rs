@@ -224,6 +224,15 @@ pub(crate) fn note_artifacts(
     }
 }
 
+/// The execution an `exec = value` comparison selects, if any. `exec`
+/// matches as text against the decimal form of the id (see `matches`), so
+/// only that exact spelling names an execution: `"007"`, `"+7"`, `"7.0"`,
+/// `""` and out-of-range numbers select none.
+pub(crate) fn exec_key(value: &str) -> Option<ExecId> {
+    let id: u64 = value.parse().ok()?;
+    (id.to_string() == value).then_some(ExecId(id))
+}
+
 /// The keys a run's module identity is indexed under: the full
 /// `name@version` form and, when it differs, the bare name — mirroring the
 /// module `=` semantics in `compare`.
@@ -246,7 +255,9 @@ pub struct PqlEngine {
     // Secondary indexes for the cost-based optimizer (crate::optimize),
     // maintained by `ingest` at the point each run or artifact is written:
     // new keys are inserted, and a run that is overwritten with another
-    // identity or status leaves its old postings first.
+    // identity or status leaves its old postings first. `exec` needs no
+    // index: `runs` is keyed by execution first, so one execution's runs
+    // are one range of it.
     module_index: Postings<(ExecId, NodeId)>,
     status_index: Postings<(ExecId, NodeId)>,
     dtype_index: Postings<u64>,
@@ -654,20 +665,36 @@ impl PqlEngine {
 
     // ---- secondary-index accessors (the optimizer's access layer) -------
 
-    /// Counted probe of a run index (`module` or `status`). Returns `None`
-    /// for fields that have no run index; an unknown key is an empty
-    /// posting.
+    /// The runs of the execution `exec = value` selects: one range of the
+    /// run map, in scan order.
+    fn exec_runs(&self, value: &str) -> impl Iterator<Item = (ExecId, NodeId)> + Clone + '_ {
+        exec_key(value)
+            .map(|e| self.runs.range((e, NodeId(0))..=(e, NodeId(u64::MAX))))
+            .into_iter()
+            .flatten()
+            .map(|(key, _)| *key)
+    }
+
+    /// Counted probe of a run access key (`module`, `status` or `exec`):
+    /// one keyed lookup plus one node read per run, in scan order. Returns
+    /// `None` for fields that key no runs; an unknown key is empty.
     pub(crate) fn probe_run_index(
         &self,
         field: Field,
         value: &str,
-    ) -> Option<impl Iterator<Item = (ExecId, NodeId)> + '_> {
+    ) -> Option<Box<dyn Iterator<Item = (ExecId, NodeId)> + '_>> {
         let index = match field {
             Field::Module => &self.module_index,
             Field::Status => &self.status_index,
+            Field::Exec => {
+                let runs = self.exec_runs(value);
+                self.stats.add_keyed_lookups(1);
+                self.stats.add_node_reads(runs.clone().count() as u64);
+                return Some(Box::new(runs));
+            }
             _ => return None,
         };
-        Some(index.probe(&self.stats, value))
+        Some(Box::new(index.probe(&self.stats, value)))
     }
 
     /// Counted probe of the artifact `dtype` index.
@@ -676,11 +703,12 @@ impl PqlEngine {
     }
 
     /// Uncounted posting length, for cost estimation only. `None` means the
-    /// (entity, field) pair has no index.
+    /// (entity, field) pair is no access key.
     pub(crate) fn posting_len(&self, entity: Entity, field: Field, value: &str) -> Option<usize> {
         match (entity, field) {
             (Entity::Runs, Field::Module) => Some(self.module_index.get(value).len()),
             (Entity::Runs, Field::Status) => Some(self.status_index.get(value).len()),
+            (Entity::Runs, Field::Exec) => Some(self.exec_runs(value).count()),
             (Entity::Artifacts, Field::Dtype) => Some(self.dtype_index.get(value).len()),
             _ => None,
         }
@@ -917,7 +945,19 @@ mod tests {
         assert_eq!(all.len(), e.run_count());
         // Unknown keys are empty postings, unindexed fields are None.
         assert!(probe(&e, Field::Status, "nope").is_empty());
-        assert!(e.probe_run_index(Field::Exec, "0").is_none());
+        assert!(e.probe_run_index(Field::Attempts, "1").is_none());
+        // `exec` is keyed by the run map itself: the execution's runs are
+        // one range, and only the id's exact decimal form selects it.
+        let exec = retro.exec.0.to_string();
+        let runs: Vec<_> = e.runs.keys().copied().collect();
+        assert_eq!(probe(&e, Field::Exec, &exec), runs);
+        assert_eq!(
+            e.posting_len(Entity::Runs, Field::Exec, &exec),
+            Some(runs.len())
+        );
+        for spelling in [format!("0{exec}"), format!("+{exec}"), format!("{exec}.0")] {
+            assert!(probe(&e, Field::Exec, &spelling).is_empty(), "{spelling}");
+        }
         assert_eq!(
             e.posting_len(Entity::Artifacts, Field::Dtype, "grid"),
             Some(1)
@@ -935,6 +975,9 @@ mod tests {
         let all = probe(&e, Field::Status, "succeeded");
         let scan: Vec<_> = e.runs.keys().copied().collect();
         assert_eq!(all, scan, "postings stay in scan order");
+        let early_runs = probe(&e, Field::Exec, &early.exec.0.to_string());
+        assert_eq!(early_runs.len(), early.runs.len());
+        assert!(early_runs.iter().all(|&(x, _)| x == early.exec));
         // Overwriting a run with another identity and status moves its
         // postings instead of leaving the old ones behind.
         let key = (late.exec, nodes.hist);

@@ -1,15 +1,18 @@
 //! Cost-based optimization for PQL plans.
 //!
 //! [`Plan::of`] derives the naive operator tree; this module rewrites it
-//! when the engine's secondary indexes (maintained by `PqlEngine::ingest`)
-//! and a [`CostModel`] over stored cardinalities say an alternative is
-//! cheaper:
+//! when the engine's access keys and a [`CostModel`] over stored
+//! cardinalities say an alternative is cheaper:
 //!
 //! * **predicate pushdown** — `count`/`list` whose filter gives every
-//!   disjunct an `=` clause on an indexed field (`module`, `status`,
-//!   `dtype`) becomes an [`PlanOp::IndexLookup`] (union of postings, in
-//!   scan order) under the *full* original filter as a residual — the
-//!   index only narrows candidates, the residual keeps the semantics;
+//!   disjunct an `=` clause on an access key becomes an
+//!   [`PlanOp::IndexLookup`] (union of the keys' rows, in scan order)
+//!   under the *full* original filter as a residual — the key only
+//!   narrows candidates, the residual keeps the semantics. The access
+//!   keys are the secondary indexes `PqlEngine::ingest` maintains (runs'
+//!   `module` and `status`, artifacts' `dtype`) and runs' `exec`, which
+//!   needs no index: the run map is keyed by execution first, so one
+//!   execution's runs are one range of it;
 //! * **scan → keyed conversion** — trivial `count` queries become a
 //!   [`PlanOp::MetaCount`] answered from stored cardinality;
 //! * **adjacency probe** — a depth-1 closure becomes a
@@ -82,12 +85,13 @@ impl Optimization {
     }
 }
 
-/// For each disjunct, pick the cheapest indexed `=` clause (smallest
+/// For each disjunct, pick the cheapest keyed `=` clause (smallest
 /// posting). Returns `None` unless *every* disjunct has one — otherwise
 /// the probe union would miss rows the scan finds. `posting_len` supplies
 /// the (uncounted) posting length for an `(entity, field, value)` key, or
-/// `None` when that pair has no index — the single engine answers from its
-/// secondary indexes, the sharded engine from per-shard sums.
+/// `None` when that pair is no access key — the single engine answers from
+/// its secondary indexes and run-map ranges, the sharded engine from
+/// per-shard sums (or, for `exec`, the owning shard).
 fn choose_index_keys_with(
     posting_len: &dyn Fn(Entity, Field, &str) -> Option<usize>,
     entity: Entity,
@@ -726,10 +730,11 @@ mod tests {
     #[test]
     fn unindexable_filters_keep_the_scan_plan() {
         let (e, ..) = engine();
-        // `contains` is not indexable, and neither is `exec`.
+        // `contains` and `!=` are not keyed, and executions have no keys.
         for q in [
             "count runs where module contains save",
-            "count runs where exec = 0",
+            "count runs where exec != 0",
+            "list executions where exec = 0",
             "list executions where status = succeeded",
             "list runs where status = succeeded or module contains save",
         ] {
@@ -737,6 +742,63 @@ mod tests {
             assert!(!opt.is_rewritten(), "unexpected rewrite for {q}");
             assert!(opt.plan.render().contains("Scan"));
             assert!(opt.render().contains("rewrites: none"));
+        }
+    }
+
+    #[test]
+    fn exec_equality_is_a_keyed_range_of_the_run_map() {
+        let (e, ..) = engine();
+        let q = parse("count runs where exec = 0").unwrap();
+        let opt = optimize(&e, &q);
+        assert!(
+            opt.plan
+                .render()
+                .contains("IndexLookup (runs: exec = \"0\")"),
+            "{}",
+            opt.plan.render()
+        );
+        assert!(opt.plan.render().contains("Filter"), "residual survives");
+        // The narrower key wins: one histogram run beats the execution's
+        // eight, and on a tie (eight `succeeded` runs) the first clause.
+        let q = parse("list runs where module = histogram and exec = 0").unwrap();
+        assert!(optimize(&e, &q)
+            .plan
+            .render()
+            .contains("module = \"histogram\""));
+        let q = parse("list runs where exec = 0 and status = succeeded").unwrap();
+        assert!(optimize(&e, &q).plan.render().contains("exec = \"0\""));
+        // Only the exact decimal form of an id selects runs; every other
+        // spelling is an empty key, never a parse into execution 0.
+        for (value, rows) in [
+            ("0", 8),
+            ("00", 0),
+            ("+0", 0),
+            ("0.0", 0),
+            (" 0", 0),
+            ("", 0),
+            ("-1", 0),
+            ("18446744073709551616", 0),
+        ] {
+            let q = Query::Count {
+                entity: Entity::Runs,
+                filter: Condition {
+                    any_of: vec![vec![Comparison {
+                        field: Field::Exec,
+                        op: Op::Eq,
+                        value: value.to_string(),
+                    }]],
+                },
+            };
+            assert!(optimize(&e, &q).is_rewritten(), "{value:?}");
+            let before = e.stats().snapshot();
+            let a = analyze_optimized(&e, &q).unwrap();
+            let delta = e.stats().snapshot().delta(&before);
+            assert_eq!(a.result, e.eval_query(&q).unwrap(), "{value:?}");
+            assert_eq!(a.result, QueryResult::Count(rows), "{value:?}");
+            assert_eq!(delta.scans, 0);
+            assert_eq!(delta.keyed_lookups, 1);
+            // One read per run in the range, then one per residual check.
+            assert_eq!(delta.node_reads, 2 * rows as u64, "{value:?}");
         }
     }
 

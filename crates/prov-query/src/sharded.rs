@@ -31,7 +31,9 @@
 
 use crate::ast::*;
 use crate::error::PqlError;
-use crate::eval::{note_artifacts, PNode, Postings, PqlEngine, QueryResult, ResultNode, ScanItem};
+use crate::eval::{
+    exec_key, note_artifacts, PNode, Postings, PqlEngine, QueryResult, ResultNode, ScanItem,
+};
 use crate::optimize::{optimize_with, Optimization, QueryCache, Rewrite};
 use crate::parser::parse;
 use crate::plan::{Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp};
@@ -273,12 +275,23 @@ impl ShardedEngine {
         self.dtype_index.probe(&self.stats, value)
     }
 
+    /// The one shard an `exec = value` key is answered on: the owner of
+    /// the execution it names. A value that names none selects nothing
+    /// anywhere; shard 0 answers it, so its lookup is counted once, as on
+    /// the single engine.
+    fn exec_shard(&self, value: &str) -> usize {
+        exec_key(value).map_or(0, |e| self.route(e))
+    }
+
     /// Global posting length: coordinator dtype index for artifacts,
-    /// per-shard sums for run indexes (executions stay unindexed). Feeds
-    /// the optimizer's decision core.
+    /// per-shard sums for run indexes, the owning shard's range for `exec`
+    /// (executions stay unkeyed). Feeds the optimizer's decision core.
     fn posting_len(&self, entity: Entity, field: Field, value: &str) -> Option<usize> {
         match (entity, field) {
             (Entity::Artifacts, Field::Dtype) => Some(self.dtype_index.get(value).len()),
+            (Entity::Runs, Field::Exec) => {
+                self.shards[self.exec_shard(value)].posting_len(entity, field, value)
+            }
             (Entity::Runs, Field::Module) | (Entity::Runs, Field::Status) => {
                 let mut total = 0usize;
                 for shard in &self.shards {
@@ -1237,6 +1250,9 @@ impl ShardedEngine {
                     let t0 = Instant::now();
                     let mut cnt = 0usize;
                     for (field, value) in &keys {
+                        if *field == Field::Exec && self.exec_shard(value) != s {
+                            continue;
+                        }
                         for key in shard.probe_run_index(*field, value).into_iter().flatten() {
                             cnt += 1;
                             set.insert(key);
@@ -1721,6 +1737,59 @@ mod tests {
         // Artifact paths stay coordinator-shaped.
         let opt = sharded.optimize(&parse("count artifacts").unwrap());
         assert!(!opt.plan.render().contains("ScatterGather"));
+    }
+
+    #[test]
+    fn exec_keyed_lookup_touches_one_shard_and_counts_like_the_single_engine() {
+        // Twelve executions: the module posting (12 runs) is wider than
+        // one execution's range (8 runs), so `exec` is the chosen key.
+        let (docs, _) = corpus(12);
+        let (single, _) = engines(1, &docs);
+        let sharded: Vec<ShardedEngine> = [2, 4].iter().map(|&n| engines(n, &docs).1).collect();
+        for doc in &docs {
+            let n = doc.exec;
+            let q = parse(&format!(
+                "list runs where exec = {} and module = histogram",
+                n.0
+            ))
+            .unwrap();
+            let reference = analyze_optimized(&single, &q).unwrap();
+            assert_eq!(reference.result.len(), 1);
+            let expected = StatsSnapshot {
+                keyed_lookups: 1,
+                node_reads: 2 * doc.runs.len() as u64 + 1,
+                ..StatsSnapshot::default()
+            };
+            assert_eq!(reference.total_accesses(), expected, "single, exec {}", n.0);
+            let label = format!("IndexLookup (runs: exec = \"{}\")", n.0);
+            assert!(
+                reference.render().contains(&label),
+                "{}",
+                reference.render()
+            );
+            for se in &sharded {
+                let a = se.analyze_optimized(&q).unwrap();
+                assert_eq!(a.result, reference.result);
+                assert_eq!(
+                    a.total_accesses(),
+                    expected,
+                    "{}, exec {}",
+                    se.backend_key(),
+                    n.0
+                );
+                assert!(a.render().contains(&label), "{}", a.render());
+                let k = se.shard_count();
+                for s in 0..k {
+                    let lane = a
+                        .ops
+                        .iter()
+                        .find(|o| o.label == format!("shard {s}/{k}"))
+                        .expect("one row per shard");
+                    let owned = if s == se.route(n) { doc.runs.len() } else { 0 };
+                    assert_eq!(lane.rows_out, owned, "shard {s}/{k}, exec {}", n.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1361,20 +1361,23 @@ impl ProvServer {
         if ns.is_read_only() {
             return Err(ServerError::ReadOnly(namespace.to_string()));
         }
-        // Idempotent retry: a request id we have already acked replays the
-        // original acknowledgement without touching the stores.
-        if let Some(id) = request_id {
-            let acks = ns.acks.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(ack) = acks.get(id) {
-                return Ok(ResponseBody::Ingested(ack));
-            }
-        }
         // The generation reported is read under the engine write lock, so
         // acks carry the generation this ingest produced. The WAL
         // append happens *inside* the same lock, before the apply: WAL
         // order equals apply order, and no ack can outrun durability.
-        let (generation, total_runs) = {
+        let ack = {
             let mut engine = ns.write_engine();
+            // Idempotent retry: a request id we have already acked replays
+            // the original acknowledgement without touching the stores.
+            // The lookup and the filing of a new ack both happen under the
+            // write lock, so of concurrent sends of one id exactly one
+            // applies and the rest replay its ack.
+            if let Some(id) = request_id {
+                let acks = ns.acks.lock().unwrap_or_else(|e| e.into_inner());
+                if let Some(ack) = acks.get(id) {
+                    return Ok(ResponseBody::Ingested(ack));
+                }
+            }
             if let Some(wal) = &ns.wal {
                 // The stamped sequence is the post-ingest generation:
                 // strictly monotone per namespace (assigned under the
@@ -1428,21 +1431,21 @@ impl ProvServer {
                 ns.wal_failures.store(0, Ordering::SeqCst);
             }
             engine.ingest(retro);
-            (engine.generation(), engine.run_count())
+            let ack = IngestAck {
+                namespace: namespace.to_string(),
+                generation: engine.generation(),
+                runs_ingested: retro.run_count(),
+                total_runs: engine.run_count(),
+            };
+            if let Some(id) = request_id {
+                ns.acks
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .put(id, ack.clone());
+            }
+            ack
         };
         ns.ingests.fetch_add(1, Ordering::Relaxed);
-        let ack = IngestAck {
-            namespace: namespace.to_string(),
-            generation,
-            runs_ingested: retro.run_count(),
-            total_runs,
-        };
-        if let Some(id) = request_id {
-            ns.acks
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .put(id, ack.clone());
-        }
         Ok(ResponseBody::Ingested(ack))
     }
 
@@ -2040,6 +2043,63 @@ mod tests {
         assert!(count("prov_wal_checkpoint_micros_count") >= 3);
         assert_eq!(count("prov_wal_appends_total"), 10);
         assert_eq!(count("prov_wal_fsync_micros_count"), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Send one document under one request id from four threads at once,
+    /// round after round: each round must apply exactly once and hand all
+    /// four senders the same ack. Returns the rounds run.
+    fn race_retries(srv: &Arc<ProvServer>, rounds: usize) -> usize {
+        let session = srv.session("alice");
+        let doc = retro(1);
+        let mut generation = session.ingest("lab", &doc).unwrap().generation;
+        for round in 0..rounds {
+            let id = format!("race-{round}");
+            let barrier = std::sync::Barrier::new(4);
+            let acks: Vec<IngestAck> = std::thread::scope(|scope| {
+                let senders: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            session.ingest_with_id("lab", &doc, Some(&id)).unwrap()
+                        })
+                    })
+                    .collect();
+                senders.into_iter().map(|s| s.join().unwrap()).collect()
+            });
+            generation += 1;
+            assert_eq!(
+                session.stats("lab").unwrap().generation,
+                generation,
+                "round {round}: one request id applied more than once"
+            );
+            assert!(
+                acks.iter().all(|a| *a == acks[0]),
+                "round {round}: retries were told different acks: {acks:?}"
+            );
+            assert_eq!(acks[0].generation, generation);
+        }
+        rounds
+    }
+
+    #[test]
+    fn concurrent_retries_of_one_request_id_apply_once() {
+        race_retries(&server(), 300);
+    }
+
+    #[test]
+    fn concurrent_retries_of_one_request_id_append_one_wal_frame() {
+        let dir = temp_data_dir("race");
+        let srv = Arc::new(ProvServer::new(durable_config(&dir)));
+        srv.recover().unwrap();
+        let rounds = race_retries(&srv, 100);
+        let prom = srv.registry().render_prometheus();
+        let appends = prom
+            .lines()
+            .find_map(|l| l.strip_prefix("prov_wal_appends_total{namespace=\"lab\"} "))
+            .unwrap_or_else(|| panic!("no WAL append counter in:\n{prom}"));
+        // The first, id-less ingest plus one frame per request id.
+        assert_eq!(appends.parse::<usize>().unwrap(), rounds + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,6 +15,11 @@
 //!   hash must answer every query — naive, optimized, and cached —
 //!   exactly like the single engine.
 //!
+//! Wherever the optimizer chose an index lookup (engine and both sharded
+//! modes), the lookup must also yield exactly the rows its keys select —
+//! the residual filter would hide a key that over-selects, such as an
+//! `exec` key that parsed `"007"` into execution 7.
+//!
 //! On divergence the harness shrinks the query (dropping filter clauses,
 //! depth bounds, and disjuncts) and fails with the minimal offending
 //! query — plus, for sharded divergences, the execution→shard assignment
@@ -24,8 +29,8 @@
 //! cheap smoke pass while local runs go deep.
 
 use prov_query::{
-    analyze_store, eval_cached, eval_optimized, parse, Comparison, Condition, Direction, Entity,
-    Field, Op, Query, QueryCache, Target,
+    analyze_optimized, analyze_store, eval_cached, eval_optimized, parse, Analysis, Comparison,
+    Condition, Direction, Entity, Field, Op, PlanNode, PlanOp, PqlError, Query, QueryCache, Target,
 };
 use provenance_workflows::prelude::*;
 use provenance_workflows::store::{sort_artifacts, sort_runs};
@@ -138,6 +143,23 @@ fn gen_target(rng: &mut Lcg, pools: &Pools) -> Target {
     }
 }
 
+/// An execution id as `exec = …` selects it, then spellings of it that
+/// the text comparison rejects: an `exec` key must select nothing for
+/// them, never parse them into the id.
+fn exec_spellings(e: u64) -> [String; 9] {
+    [
+        e.to_string(),
+        format!("0{e}"),
+        format!("+{e}"),
+        format!("{e}.0"),
+        format!(" {e}"),
+        format!("{e} "),
+        (u128::from(u64::MAX) + 1).to_string(),
+        "-1".to_string(),
+        String::new(),
+    ]
+}
+
 fn gen_comparison(rng: &mut Lcg, pools: &Pools) -> Comparison {
     let field = *rng.pick(&[
         Field::Module,
@@ -160,10 +182,11 @@ fn gen_comparison(rng: &mut Lcg, pools: &Pools) -> Comparison {
             .pick(&["grid", "table", "histogram", "image", "bytes", "nothing"])
             .to_string(),
         Field::Exec => {
-            if rng.chance(80) {
-                rng.pick(&pools.execs).to_string()
-            } else {
-                "999999".to_string()
+            let e = *rng.pick(&pools.execs);
+            match rng.below(10) {
+                0..=4 => e.to_string(),
+                5 => "999999".to_string(),
+                _ => rng.pick(&exec_spellings(e)[1..]).clone(),
             }
         }
         Field::Attempts => rng.pick(&["1", "2", "3"]).to_string(),
@@ -221,6 +244,51 @@ fn gen_query(rng: &mut Lcg, pools: &Pools) -> Query {
 }
 
 // ---- differential check --------------------------------------------------
+
+/// The access keys of the plan's index lookup, if it has one.
+fn lookup_keys(node: &PlanNode) -> Option<(Entity, &[(Field, String)])> {
+    match &node.op {
+        PlanOp::IndexLookup { entity, keys } => Some((*entity, keys)),
+        _ => node.children.iter().find_map(lookup_keys),
+    }
+}
+
+/// An index lookup must yield exactly the rows its keys select under the
+/// scan's comparison rules. The residual filter hides a key that selects
+/// too much (the rows are read, then dropped), so results alone cannot
+/// show it; a key that selects too little loses rows.
+fn inexact_lookup(
+    engine: &PqlEngine,
+    mode: &str,
+    analysis: Result<Analysis, PqlError>,
+) -> Option<String> {
+    let analysis = analysis.ok()?;
+    let (entity, keys) = lookup_keys(&analysis.plan.root)?;
+    let keyed = Query::List {
+        entity,
+        filter: Condition {
+            any_of: keys
+                .iter()
+                .map(|(field, value)| {
+                    vec![Comparison {
+                        field: *field,
+                        op: Op::Eq,
+                        value: value.clone(),
+                    }]
+                })
+                .collect(),
+        },
+    };
+    let want = engine.eval_query(&keyed).ok()?.len();
+    let got = analysis
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("IndexLookup"))?
+        .rows_out;
+    (got != want).then(|| {
+        format!("{mode} IndexLookup {keys:?} yielded {got} candidates, but its keys select {want}")
+    })
+}
 
 /// Canonical store-surface answer for a mappable query shape, or `None`
 /// when the shape only exists in the engine.
@@ -280,6 +348,9 @@ fn divergence(
             }
         }
     }
+    if let Some(report) = inexact_lookup(engine, "engine", analyze_optimized(engine, q)) {
+        return Some(report);
+    }
     // Modes 9/10: the sharded(2)/sharded(4) scatter-gather engines, each
     // in naive, optimized, and cached form, must agree with the single
     // engine exactly — results, order, and error-ness.
@@ -302,6 +373,9 @@ fn divergence(
                     ))
                 }
             }
+        }
+        if let Some(report) = inexact_lookup(engine, se.backend_key(), se.analyze_optimized(q)) {
+            return Some(report);
         }
     }
     // Modes 4..11: four backends x {naive, optimized} on mappable shapes.
@@ -448,9 +522,28 @@ fn optimized_evaluation_never_diverges_from_naive_on_any_backend() {
     let mut rng = Lcg::new(0xD1FF);
     let cases = case_count();
     let mut mapped = 0usize;
+    // Every spelling of every execution id on its own first, so each one
+    // meets the `exec` key whatever the random draws, then the random
+    // queries.
+    let mut queries: Vec<Query> = pools
+        .execs
+        .iter()
+        .flat_map(|&e| exec_spellings(e))
+        .map(|value| Query::Count {
+            entity: Entity::Runs,
+            filter: Condition {
+                any_of: vec![vec![Comparison {
+                    field: Field::Exec,
+                    op: Op::Eq,
+                    value,
+                }]],
+            },
+        })
+        .collect();
+    queries.extend((0..cases).map(|_| gen_query(&mut rng, &pools)));
+    let total = queries.len();
 
-    for case in 0..cases {
-        let q = gen_query(&mut rng, &pools);
+    for (case, q) in queries.into_iter().enumerate() {
         // Queries must survive the text round trip before anything else:
         // the differential claim is about what users can actually type.
         let rendered = q.to_string();
@@ -472,7 +565,7 @@ fn optimized_evaluation_never_diverges_from_naive_on_any_backend() {
             let min_report =
                 divergence(&engine, &shardeds, &stores, &mut cache, &minimal).unwrap_or(report);
             panic!(
-                "case {case}/{cases} diverged.\n  original: {q}\n  minimal:  {minimal}\n  {min_report}\n  shard assignment:\n  {}",
+                "case {case}/{total} diverged.\n  original: {q}\n  minimal:  {minimal}\n  {min_report}\n  shard assignment:\n  {}",
                 shard_assignment(&shardeds, &pools.execs)
             );
         }
