@@ -655,14 +655,6 @@ impl PqlEngine {
         self.generation
     }
 
-    /// Restore the generation counter after WAL replay. Recovery replays a
-    /// *compacted* history (fewer ingests than the pre-crash process saw),
-    /// so the counter must be set to the durable watermark explicitly or
-    /// cached query results from before the crash would appear fresh.
-    pub fn restore_generation(&mut self, generation: u64) {
-        self.generation = self.generation.max(generation);
-    }
-
     // ---- secondary-index accessors (the optimizer's access layer) -------
 
     /// The runs of the execution `exec = value` selects: one range of the

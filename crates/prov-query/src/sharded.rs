@@ -77,8 +77,6 @@ pub struct ShardedEngine {
     art_pred: BTreeMap<u64, Vec<PNode>>,
     /// Global dtype index over the catalog.
     dtype_index: Postings<u64>,
-    /// Raises `generation()` above the shard sum after WAL recovery.
-    gen_floor: u64,
     /// Cache-partitioning backend key, `sharded(N)`.
     backend_key: String,
 }
@@ -109,7 +107,6 @@ impl ShardedEngine {
             art_succ: BTreeMap::new(),
             art_pred: BTreeMap::new(),
             dtype_index: Postings::default(),
-            gen_floor: 0,
             backend_key: format!("sharded({n})"),
         }
     }
@@ -149,19 +146,11 @@ impl ShardedEngine {
         self.shards.iter().map(PqlEngine::generation).collect()
     }
 
-    /// Global generation: the recovery floor plus the *sum* of per-shard
-    /// generations, so an ingest into any shard — not just shard 0 —
-    /// advances it and invalidates cached results (see [`Self::eval_cached`]).
+    /// Global generation: the *sum* of per-shard generations, so an
+    /// ingest into any shard — not just shard 0 — advances it and
+    /// invalidates cached results (see [`Self::eval_cached`]).
     pub fn generation(&self) -> u64 {
-        self.gen_floor + self.generations().iter().sum::<u64>()
-    }
-
-    /// Raise the generation to at least `watermark` after WAL recovery.
-    /// Replay is compacted (fewer ingests than the pre-crash process saw),
-    /// so without the floor cached pre-crash results would appear fresh.
-    pub fn restore_generation(&mut self, watermark: u64) {
-        let sum: u64 = self.generations().iter().sum();
-        self.gen_floor = self.gen_floor.max(watermark.saturating_sub(sum));
+        self.generations().iter().sum()
     }
 
     /// Total ingested runs across shards.
@@ -1819,23 +1808,11 @@ mod tests {
     }
 
     #[test]
-    fn generation_sums_shards_and_restores_watermark() {
+    fn generation_sums_shards() {
         let (docs, _) = corpus(5);
-        let (_, mut sharded) = engines(4, &docs);
+        let (_, sharded) = engines(4, &docs);
         assert_eq!(sharded.generation(), 5, "one bump per ingested doc");
         assert_eq!(sharded.generations().iter().sum::<u64>(), 5);
-        sharded.restore_generation(40);
-        assert!(sharded.generation() >= 40);
-        let before = sharded.generation();
-        let (mut extra, _) = corpus(1);
-        let mut doc = extra.pop().unwrap();
-        doc.exec = ExecId(500);
-        sharded.ingest(&doc);
-        assert!(sharded.generation() > before, "floor keeps monotonicity");
-        // Restoring below the current generation is a no-op.
-        let cur = sharded.generation();
-        sharded.restore_generation(1);
-        assert_eq!(sharded.generation(), cur);
     }
 
     #[test]

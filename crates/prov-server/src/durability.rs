@@ -2,11 +2,12 @@
 //!
 //! Every acked ingest is appended to the namespace's write-ahead log
 //! (`prov_store::wal::NamespaceWal`) *before* it is applied to the
-//! in-memory stores, under the same engine write lock — the ack a client
-//! receives therefore certifies a durable record. On restart,
-//! [`crate::ProvServer::recover`] replays each namespace directory into
-//! fresh stores and restores the generation counter, so query-cache
-//! staleness semantics survive the crash.
+//! in-memory stores, under the same namespace write lock — the ack a
+//! client receives therefore certifies a durable record. On restart,
+//! [`crate::ProvServer::recover`] applies each namespace directory's
+//! entries, in `seq` order, through the same `apply` live ingest uses,
+//! so the generation, the acks and query-cache staleness survive the
+//! crash.
 //!
 //! WAL entries are JSON envelopes, not serde: `{"request_id": ...,
 //! "retro": {...}, "seq": N}`, members in key order, with the document in
@@ -46,8 +47,8 @@ pub struct DurabilityConfig {
     pub data_dir: PathBuf,
     /// When WAL appends are forced to disk.
     pub fsync: FsyncPolicy,
-    /// Auto-checkpoint (snapshot + compaction) once a namespace's live
-    /// tail holds at least this many records and at least as many as the
+    /// Auto-checkpoint (every record rewritten into a fresh snapshot) once
+    /// a namespace's live tail holds at least this many records and at least as many as the
     /// snapshot it rewrites — the minimum tail length, not a period; 0
     /// disables auto-checkpointing.
     pub checkpoint_every: u64,
@@ -91,11 +92,12 @@ impl DurabilityConfig {
 pub struct RecoveryReport {
     /// The namespace recovered.
     pub namespace: String,
-    /// Records replayed from the compacted snapshot.
+    /// Records replayed from the snapshot.
     pub snapshot_records: u64,
     /// Records replayed from the live WAL tail.
     pub wal_records: u64,
-    /// Generation counter restored into the engine.
+    /// The namespace generation after replay: the last applied `seq`, or
+    /// the WAL watermark when that is higher.
     pub generation: u64,
     /// Was a torn tail truncated in either file?
     pub truncated: bool,

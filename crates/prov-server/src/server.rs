@@ -333,9 +333,7 @@ impl WalMetrics {
 /// the server runs with [`ServerConfig::shards`]` > 1` — a
 /// [`ShardedEngine`] that partitions the corpus by seeded execution hash
 /// and answers queries by parallel scatter-gather (`prov_query::sharded`).
-/// Both variants are result-identical; the sharded engine's generation
-/// counter sums the per-shard counters, so an ingest into *any* shard
-/// invalidates cached results.
+/// Both variants are result-identical.
 #[derive(Debug)]
 enum NsEngine {
     /// The default single-partition engine.
@@ -385,20 +383,6 @@ impl NsEngine {
         }
     }
 
-    fn generation(&self) -> u64 {
-        match self {
-            NsEngine::Single(e) => e.generation(),
-            NsEngine::Sharded(s) => s.generation(),
-        }
-    }
-
-    fn restore_generation(&mut self, watermark: u64) {
-        match self {
-            NsEngine::Single(e) => e.restore_generation(watermark),
-            NsEngine::Sharded(s) => s.restore_generation(watermark),
-        }
-    }
-
     fn run_count(&self) -> usize {
         match self {
             NsEngine::Single(e) => e.run_count(),
@@ -430,6 +414,45 @@ impl NsEngine {
     }
 }
 
+/// Everything an ingest changes in a namespace, behind its one lock: the
+/// engine, the generation it answers at, and the request-id → ack memory.
+/// [`NsState::apply`] is the only code that changes it, for live ingest
+/// and WAL replay alike, so a recovered namespace is the live one.
+#[derive(Debug)]
+struct NsState {
+    engine: NsEngine,
+    /// The `seq` of the last applied ingest, raised to the WAL watermark
+    /// after recovery. Cached query results are tagged with it.
+    generation: u64,
+    /// Request-id → ack dedupe memory (rebuilt from the WAL on recovery).
+    acks: AckCache,
+}
+
+impl NsState {
+    /// Apply one ingest stamped `seq`: ingest the document, advance the
+    /// generation to `seq`, and build and file its ack.
+    fn apply(
+        &mut self,
+        namespace: &str,
+        seq: u64,
+        retro: &RetrospectiveProvenance,
+        request_id: Option<&str>,
+    ) -> IngestAck {
+        self.engine.ingest(retro);
+        self.generation = seq;
+        let ack = IngestAck {
+            namespace: namespace.to_string(),
+            generation: seq,
+            runs_ingested: retro.run_count(),
+            total_runs: self.engine.run_count(),
+        };
+        if let Some(id) = request_id {
+            self.acks.put(id, ack.clone());
+        }
+        ack
+    }
+}
+
 /// One tenant-visible, isolated provenance domain.
 ///
 /// All state a request can touch lives here; requests for namespace A can
@@ -437,7 +460,7 @@ impl NsEngine {
 #[derive(Debug)]
 pub struct Namespace {
     name: String,
-    engine: RwLock<NsEngine>,
+    state: RwLock<NsState>,
     /// The engine's result-cache backend key, fixed at creation: the shard
     /// layout never changes afterwards (a durable namespace's `SHARDS`
     /// marker pins it).
@@ -448,11 +471,9 @@ pub struct Namespace {
     queries: AtomicU64,
     /// The write-ahead logs, one per shard (durable servers only; a
     /// single-engine namespace has exactly one). Locked *inside* the
-    /// engine write lock during ingest, so WAL order equals apply order
+    /// state write lock during ingest, so WAL order equals apply order
     /// and the stamped sequence numbers are gap-free across shards.
     wal: Option<Mutex<Vec<NamespaceWal>>>,
-    /// Request-id → ack dedupe memory (rebuilt from the WAL on recovery).
-    acks: Mutex<AckCache>,
     /// Consecutive WAL append failures; at [`READ_ONLY_AFTER`] the
     /// namespace degrades to read-only.
     wal_failures: AtomicU64,
@@ -463,9 +484,8 @@ pub struct Namespace {
 
 impl Namespace {
     /// Create a namespace; when `config.durability` is set this opens (or
-    /// creates) its WAL directory, replays any existing records into the
-    /// fresh engine, restores the generation counter, and reports what it
-    /// found.
+    /// creates) its WAL directory, applies every surviving record in `seq`
+    /// order, and reports what it found.
     fn new(
         name: &str,
         config: &ServerConfig,
@@ -487,7 +507,11 @@ impl Namespace {
         let mut ns = Namespace {
             name: name.to_string(),
             backend: engine.backend_key().to_string(),
-            engine: RwLock::new(engine),
+            state: RwLock::new(NsState {
+                engine,
+                generation: 0,
+                acks: AckCache::default(),
+            }),
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             observer: Mutex::new(
                 QueryObserver::with_registry(Arc::clone(&registry))
@@ -496,7 +520,6 @@ impl Namespace {
             ingests: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             wal: None,
-            acks: Mutex::new(AckCache::default()),
             wal_failures: AtomicU64::new(0),
             read_only: AtomicBool::new(false),
             wal_metrics: None,
@@ -545,11 +568,9 @@ impl Namespace {
         let mut codec_errors = Vec::new();
         let mut entries = Vec::new();
         for (s, recovery) in recoveries.iter().enumerate() {
-            for (i, (_, payload)) in recovery.entries.iter().enumerate() {
+            for (i, payload) in recovery.entries.iter().enumerate() {
                 match durability::decode_entry(payload) {
-                    Ok((retro, request_id, seq)) => {
-                        entries.push((seq.unwrap_or(0), s, i, retro, request_id));
-                    }
+                    Ok((retro, request_id, seq)) => entries.push((seq, s, i, retro, request_id)),
                     Err(e) => codec_errors.push(if shards == 1 {
                         format!("record {i}: {e}")
                     } else {
@@ -558,38 +579,25 @@ impl Namespace {
                 }
             }
         }
-        entries.sort_by_key(|&(seq, s, i, ..)| (seq, s, i));
-        // The consistent watermark: each shard's WAL restores its own
-        // durable generation; the namespace generation is their sum.
+        entries.sort_by_key(|&(seq, s, i, ..)| (seq.unwrap_or(0), s, i));
+        // Replay is live ingest without the append: each entry is applied
+        // at its own stamped `seq` (a legacy entry without one takes the
+        // next generation). The generation then rises to the consistent
+        // watermark — each shard's WAL counts its own records, and the
+        // namespace's is their sum — in case undecodable records were
+        // skipped.
         let watermark: u64 = recoveries.iter().map(|r| r.generation).sum();
-        let total = entries.len() as u64;
-        {
-            let engine = ns.engine.get_mut().unwrap_or_else(|e| e.into_inner());
-            let acks = ns.acks.get_mut().unwrap_or_else(|e| e.into_inner());
-            for (i, (_, _, _, retro, request_id)) in entries.iter().enumerate() {
-                engine.ingest(retro);
-                if let Some(id) = request_id {
-                    // The logical generation of replayed entry i counts
-                    // back from the restored watermark.
-                    let generation = watermark - (total - 1 - i as u64).min(watermark);
-                    acks.put(
-                        id,
-                        IngestAck {
-                            namespace: name.to_string(),
-                            generation,
-                            runs_ingested: retro.run_count(),
-                            total_runs: engine.run_count(),
-                        },
-                    );
-                }
-            }
-            engine.restore_generation(watermark);
+        let state = ns.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        for (seq, _, _, retro, request_id) in &entries {
+            let seq = seq.unwrap_or(state.generation + 1);
+            state.apply(name, seq, retro, request_id.as_deref());
         }
+        state.generation = state.generation.max(watermark);
         let report = RecoveryReport {
             namespace: name.to_string(),
             snapshot_records: recoveries.iter().map(|r| r.snapshot_records).sum(),
             wal_records: recoveries.iter().map(|r| r.wal_records).sum(),
-            generation: watermark,
+            generation: state.generation,
             truncated: recoveries.iter().any(|r| r.truncated),
             tail_errors: recoveries
                 .iter()
@@ -631,7 +639,7 @@ impl Namespace {
     /// Partitions behind this namespace's engine (1 unless the server
     /// runs sharded).
     pub fn shard_count(&self) -> usize {
-        self.read_engine().shard_count()
+        self.read_state().engine.shard_count()
     }
 
     /// The namespace name.
@@ -684,12 +692,12 @@ impl Namespace {
         Ok(())
     }
 
-    fn read_engine(&self) -> std::sync::RwLockReadGuard<'_, NsEngine> {
-        self.engine.read().unwrap_or_else(|e| e.into_inner())
+    fn read_state(&self) -> std::sync::RwLockReadGuard<'_, NsState> {
+        self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_engine(&self) -> std::sync::RwLockWriteGuard<'_, NsEngine> {
-        self.engine.write().unwrap_or_else(|e| e.into_inner())
+    fn write_state(&self) -> std::sync::RwLockWriteGuard<'_, NsState> {
+        self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -1361,30 +1369,23 @@ impl ProvServer {
         if ns.is_read_only() {
             return Err(ServerError::ReadOnly(namespace.to_string()));
         }
-        // The generation reported is read under the engine write lock, so
-        // acks carry the generation this ingest produced. The WAL
-        // append happens *inside* the same lock, before the apply: WAL
-        // order equals apply order, and no ack can outrun durability.
+        // Under the state write lock: look the request id up, append, and
+        // apply. WAL order equals apply order, no ack can outrun
+        // durability, and of concurrent sends of one id exactly one
+        // applies while the rest replay its ack.
         let ack = {
-            let mut engine = ns.write_engine();
+            let mut state = ns.write_state();
             // Idempotent retry: a request id we have already acked replays
             // the original acknowledgement without touching the stores.
-            // The lookup and the filing of a new ack both happen under the
-            // write lock, so of concurrent sends of one id exactly one
-            // applies and the rest replay its ack.
-            if let Some(id) = request_id {
-                let acks = ns.acks.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(ack) = acks.get(id) {
-                    return Ok(ResponseBody::Ingested(ack));
-                }
+            if let Some(ack) = request_id.and_then(|id| state.acks.get(id)) {
+                return Ok(ResponseBody::Ingested(ack));
             }
+            // The stamped sequence is the post-ingest generation: strictly
+            // monotone per namespace, so recovery can merge the per-shard
+            // WAL streams back into global ingest order.
+            let seq = state.generation + 1;
             if let Some(wal) = &ns.wal {
-                // The stamped sequence is the post-ingest generation:
-                // strictly monotone per namespace (assigned under the
-                // engine write lock), so recovery can merge the per-shard
-                // WAL streams back into global ingest order.
-                let seq = engine.generation() + 1;
-                let shard = engine.route(retro.exec);
+                let shard = state.engine.route(retro.exec);
                 let payload = durability::encode_entry(retro, request_id, seq);
                 let mut wals = wal.lock().unwrap_or_else(|e| e.into_inner());
                 let wal_began = now_micros();
@@ -1430,20 +1431,7 @@ impl ProvServer {
                 }
                 ns.wal_failures.store(0, Ordering::SeqCst);
             }
-            engine.ingest(retro);
-            let ack = IngestAck {
-                namespace: namespace.to_string(),
-                generation: engine.generation(),
-                runs_ingested: retro.run_count(),
-                total_runs: engine.run_count(),
-            };
-            if let Some(id) = request_id {
-                ns.acks
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .put(id, ack.clone());
-            }
-            ack
+            state.apply(namespace, seq, retro, request_id)
         };
         ns.ingests.fetch_add(1, Ordering::Relaxed);
         Ok(ResponseBody::Ingested(ack))
@@ -1500,11 +1488,11 @@ impl ProvServer {
         let key = QueryCache::key_for(&query);
         // Hold the read lock across generation read + evaluation: the
         // result is guaranteed to be computed against the generation it
-        // is tagged with (writers are excluded while we evaluate). A
-        // sharded engine's generation sums the per-shard counters, so a
-        // cached result goes stale when *any* shard advances.
-        let engine = ns.read_engine();
-        let generation = engine.generation();
+        // is tagged with (writers are excluded while we evaluate). Every
+        // ingest advances the namespace generation, whichever shard it
+        // lands in, so a cached result goes stale on any write.
+        let state = ns.read_state();
+        let generation = state.generation;
         let backend = ns.backend.as_str();
         {
             let mut cache = ns.cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -1531,8 +1519,8 @@ impl ProvServer {
                 });
             }
         }
-        let analysis = engine.analyze_optimized(&query)?;
-        drop(engine);
+        let analysis = state.engine.analyze_optimized(&query)?;
+        drop(state);
         let accesses = analysis.total_accesses();
         let answer = Arc::new(CachedAnswer::new(analysis.result));
         ns.cache.lock().unwrap_or_else(|e| e.into_inner()).put(
@@ -1596,7 +1584,8 @@ impl ProvServer {
 
     fn stats(&self, namespace: &str) -> Result<NamespaceStats, ServerError> {
         let ns = self.resolve(namespace)?;
-        let engine = ns.read_engine();
+        let state = ns.read_state();
+        let engine = &state.engine;
         let (hits, misses) = {
             let cache = ns.cache.lock().unwrap_or_else(|e| e.into_inner());
             (cache.hits(), cache.misses())
@@ -1606,7 +1595,7 @@ impl ProvServer {
             runs: engine.run_count(),
             artifacts: engine.artifact_count(),
             executions: engine.exec_count(),
-            generation: engine.generation(),
+            generation: state.generation,
             ingests: ns.ingests.load(Ordering::Relaxed),
             queries: ns.queries.load(Ordering::Relaxed),
             cache_hits: hits,
@@ -2131,6 +2120,146 @@ mod tests {
             .unwrap();
         assert_eq!(dup.generation, first.generation);
         assert_eq!(session.stats("lab").unwrap().executions, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Figure 1 (8 runs) and then the challenge workflow (12 runs), both
+    /// under execution 7: a re-ingest that the engine unions.
+    fn reingested_pair() -> [RetrospectiveProvenance; 2] {
+        let challenge = {
+            let wf = wf_engine::synth::challenge_workflow(1, 2, 2);
+            let exec = Executor::new(standard_registry());
+            let mut cap = ProvenanceCapture::new(CaptureLevel::Fine);
+            let r = exec.run_observed(&wf, &mut cap).unwrap();
+            cap.take(r.exec).unwrap()
+        };
+        let mut pair = [retro(7), challenge];
+        pair[1].exec = wf_engine::ExecId(7);
+        pair
+    }
+
+    fn durable_config_with(dir: &std::path::Path, shards: usize, every: u64) -> ServerConfig {
+        ServerConfig {
+            shards,
+            durability: Some(
+                DurabilityConfig::new(dir)
+                    .fsync(prov_store::wal::FsyncPolicy::Never)
+                    .checkpoint_every(every),
+            ),
+            ..ServerConfig::default()
+        }
+    }
+
+    #[test]
+    fn checkpoint_keeps_every_reingest_of_an_execution() {
+        for shards in [1, 2] {
+            for every in [0, 1] {
+                let dir = temp_data_dir(&format!("reingest-{shards}-{every}"));
+                let config = durable_config_with(&dir, shards, every);
+                let live = {
+                    let srv = Arc::new(ProvServer::new(config.clone()));
+                    srv.recover().unwrap();
+                    let session = srv.session("alice");
+                    for doc in &reingested_pair() {
+                        session.ingest("lab", doc).unwrap();
+                    }
+                    session.stats("lab").unwrap()
+                };
+                assert_eq!(
+                    (live.runs, live.artifacts, live.generation),
+                    (12, 20, 2),
+                    "shards={shards}: the engine unions the re-ingest"
+                );
+                let srv = Arc::new(ProvServer::new(config));
+                srv.recover().unwrap();
+                let back = srv.session("alice").stats("lab").unwrap();
+                assert_eq!(
+                    (back.runs, back.artifacts, back.executions, back.generation),
+                    (live.runs, live.artifacts, live.executions, live.generation),
+                    "shards={shards} checkpoint_every={every}: recovered != live"
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn retried_request_id_replays_its_ack_after_a_checkpoint_and_restart() {
+        for shards in [1, 2] {
+            let dir = temp_data_dir(&format!("retry-checkpoint-{shards}"));
+            let config = durable_config_with(&dir, shards, 1);
+            let [fig1, challenge] = reingested_pair();
+            let first = {
+                let srv = Arc::new(ProvServer::new(config.clone()));
+                srv.recover().unwrap();
+                let session = srv.session("alice");
+                let first = session.ingest_with_id("lab", &fig1, Some("A")).unwrap();
+                session
+                    .ingest_with_id("lab", &challenge, Some("B"))
+                    .unwrap();
+                first
+            };
+            assert_eq!(first.generation, 1);
+            let srv = Arc::new(ProvServer::new(config));
+            srv.recover().unwrap();
+            let session = srv.session("alice");
+            let retry = session.ingest_with_id("lab", &fig1, Some("A")).unwrap();
+            assert_eq!(retry, first, "shards={shards}: the retry was applied again");
+            assert_eq!(session.stats("lab").unwrap().generation, 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn legacy_entries_without_seq_replay_at_the_next_generation() {
+        let dir = temp_data_dir("legacy");
+        {
+            let (mut wal, _) =
+                NamespaceWal::open(&dir.join("lab"), prov_store::wal::FsyncPolicy::Never).unwrap();
+            for seed in 1..=2 {
+                let id = format!("old-{seed}");
+                let entry = durability::encode_entry(&retro(seed), Some(&id), seed);
+                let legacy = String::from_utf8(entry)
+                    .unwrap()
+                    .replace(&format!(",\"seq\":{seed}}}"), "}");
+                assert!(!legacy.contains("\"seq\""));
+                wal.append(seed, legacy.as_bytes()).unwrap();
+            }
+        }
+        let srv = Arc::new(ProvServer::new(durable_config(&dir)));
+        srv.recover().unwrap();
+        let session = srv.session("alice");
+        let replayed = session
+            .ingest_with_id("lab", &retro(2), Some("old-2"))
+            .unwrap();
+        assert_eq!((replayed.generation, replayed.total_runs), (2, 16));
+        assert_eq!(session.ingest("lab", &retro(3)).unwrap().generation, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_undecodable_record_still_counts_toward_the_recovered_generation() {
+        let dir = temp_data_dir("undecodable");
+        {
+            let srv = Arc::new(ProvServer::new(durable_config(&dir)));
+            srv.recover().unwrap();
+            let session = srv.session("alice");
+            for seed in 1..=2 {
+                session.ingest("lab", &retro(seed)).unwrap();
+            }
+        }
+        {
+            let (mut wal, _) =
+                NamespaceWal::open(&dir.join("lab"), prov_store::wal::FsyncPolicy::Never).unwrap();
+            wal.append(0, b"not a wal entry").unwrap();
+        }
+        let srv = Arc::new(ProvServer::new(durable_config(&dir)));
+        let reports = srv.recover().unwrap();
+        assert_eq!(reports[0].codec_errors.len(), 1, "{}", reports[0].render());
+        assert_eq!(reports[0].generation, 3, "the watermark counts all three");
+        let session = srv.session("alice");
+        assert_eq!(session.stats("lab").unwrap().executions, 2);
+        assert_eq!(session.ingest("lab", &retro(3)).unwrap().generation, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,14 +18,12 @@
 //!   and compaction (the durability substrate);
 //! * [`wal`] — the per-namespace write-ahead log under the provenance
 //!   server: hash-chained CRC frames, configurable fsync policy,
-//!   snapshot+compaction checkpoints, and torn-tail recovery;
+//!   snapshot checkpoints that keep every record, and torn-tail recovery;
 //! * [`iofault`] — deterministic I/O fault injection (torn writes, failed
 //!   fsyncs, ENOSPC, short reads at seeded byte offsets) so the WAL's
 //!   failure paths are exercised reproducibly;
 //! * [`api`] — the [`api::ProvenanceStore`] trait: the canned queries every
 //!   backend must answer, so benchmarks compare like for like;
-//! * [`spanstore`] — storage for telemetry spans (the timing half of
-//!   retrospective provenance), with JSONL persistence;
 //! * [`stats`] — the [`stats::StoreStats`] access recorder every backend
 //!   carries, so the *same* query can be measured (reads, scans vs. keyed
 //!   lookups, bytes) across all four storage strategies (experiment E16);
@@ -46,7 +44,6 @@ pub mod logstore;
 pub mod relstore;
 pub mod sharded;
 pub mod shared;
-pub mod spanstore;
 pub mod stats;
 pub mod triplestore;
 pub mod wal;
@@ -58,7 +55,6 @@ pub use logstore::LogStore;
 pub use relstore::{RelStore, RelValue, Relation, Schema};
 pub use sharded::{shard_of, ShardedStore, DEFAULT_SHARD_SEED};
 pub use shared::SharedStore;
-pub use spanstore::SpanStore;
 pub use stats::{StatsSnapshot, StoreStats};
 pub use triplestore::{Term, TripleStore};
 pub use wal::{FsyncPolicy, NamespaceWal, Wal, WalRecovery, WalReplay};

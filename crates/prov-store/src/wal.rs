@@ -38,13 +38,13 @@
 //! (reported, never panicked on). [`Wal::open`] truncates the file to that
 //! prefix so the next append continues a clean chain.
 //!
-//! [`NamespaceWal`] layers snapshot+compaction checkpoints on top: a
-//! namespace directory holds `snapshot.wal` (a checkpointed, compacted log
-//! whose first record carries the generation watermark) and `wal.log` (the
-//! live tail, chained off the snapshot's final hash so the pair is
-//! spliceproof as a unit).
+//! [`NamespaceWal`] layers checkpoints on top: a namespace directory holds
+//! `snapshot.wal` (every record appended so far, in order, behind a meta
+//! record carrying the generation watermark) and `wal.log` (the live tail,
+//! chained off the snapshot's final hash so the pair is spliceproof as a
+//! unit). A checkpoint drops no record: replaying the snapshot and the
+//! tail applies exactly what replaying the uncheckpointed log would.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -441,11 +441,9 @@ impl Wal {
 /// What [`NamespaceWal::open`] recovered from a namespace directory.
 #[derive(Debug, Clone)]
 pub struct WalRecovery {
-    /// Keyed payloads in replay order: snapshot records then live-tail
-    /// records. Keys are whatever the writer supplied (e.g. an exec id
-    /// hash) and drive latest-wins compaction at checkpoint.
-    pub entries: Vec<(u64, Vec<u8>)>,
-    /// Records replayed from the snapshot (compacted history).
+    /// Payloads in append order: snapshot records then live-tail records.
+    pub entries: Vec<Vec<u8>>,
+    /// Records replayed from the snapshot.
     pub snapshot_records: u64,
     /// Records replayed from the live tail.
     pub wal_records: u64,
@@ -458,8 +456,8 @@ pub struct WalRecovery {
     pub tail_errors: Vec<String>,
 }
 
-/// A namespace's durable state: `snapshot.wal` (compacted checkpoint, meta
-/// record first) plus `wal.log` (live tail chained off the snapshot head).
+/// A namespace's durable state: `snapshot.wal` (checkpoint, meta record
+/// first) plus `wal.log` (live tail chained off the snapshot head).
 ///
 /// The checkpoint protocol is crash-safe at every step: the new snapshot is
 /// written to a temp file, fsynced, renamed over the old one, and the
@@ -476,8 +474,8 @@ pub struct NamespaceWal {
     base_generation: u64,
     /// Records in the snapshot file, not counting its meta record.
     snapshot_records: u64,
-    /// Keyed payloads resident for the next checkpoint (snapshot + tail).
-    resident: Vec<(u64, Vec<u8>)>,
+    /// Payloads resident for the next checkpoint (snapshot + tail).
+    resident: Vec<Vec<u8>>,
     /// Auto-checkpoint once the live tail holds at least this many records
     /// *and* at least as many as the snapshot it would rewrite, so the
     /// bytes checkpoints write stay within about twice the bytes appended
@@ -533,7 +531,7 @@ impl NamespaceWal {
             file.sync_all()?;
         }
         let mut base_generation = 0u64;
-        let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut entries: Vec<Vec<u8>> = Vec::new();
         let mut snapshot_records = 0u64;
         for (i, payload) in snap.payloads.into_iter().enumerate() {
             if i == 0 && payload.starts_with(SNAPSHOT_MAGIC) {
@@ -544,7 +542,7 @@ impl NamespaceWal {
                 continue;
             }
             snapshot_records += 1;
-            entries.push((entry_key(&payload), payload));
+            entries.push(payload);
         }
 
         // 2. Replay the live tail, chained off the snapshot head so the
@@ -558,9 +556,7 @@ impl NamespaceWal {
             }
         }
         let wal_records = tail.payloads.len() as u64;
-        for payload in tail.payloads {
-            entries.push((entry_key(&payload), payload));
-        }
+        entries.extend(tail.payloads);
 
         let recovery = WalRecovery {
             entries: entries.clone(),
@@ -586,11 +582,11 @@ impl NamespaceWal {
         Ok((nswal, recovery))
     }
 
-    /// Append one keyed payload to the live tail. The key drives
-    /// latest-wins compaction at the next checkpoint.
-    pub fn append(&mut self, key: u64, payload: &[u8]) -> io::Result<()> {
+    /// Append one payload to the live tail. `_exec` drives nothing: every
+    /// record is kept at checkpoint, whatever execution it names.
+    pub fn append(&mut self, _exec: u64, payload: &[u8]) -> io::Result<()> {
         self.wal.append(payload)?;
-        self.resident.push((key, payload.to_vec()));
+        self.resident.push(payload.to_vec());
         if self.checkpoint_every > 0
             && self.wal.records() >= self.checkpoint_every.max(self.snapshot_records)
         {
@@ -648,36 +644,19 @@ impl NamespaceWal {
         self.last_checkpoint_micros
     }
 
-    /// Checkpoint: compact resident records (latest per key, first-seen
-    /// order) into a fresh snapshot stamped with `generation`, then reset
-    /// the live tail. Crash-safe at every intermediate point.
+    /// Checkpoint: rewrite every resident record, in append order, into a
+    /// fresh snapshot stamped with `generation`, then reset the live tail.
+    /// Crash-safe at every intermediate point.
     pub fn checkpoint(&mut self, generation: u64) -> io::Result<()> {
         let began = Instant::now();
-        // Latest-wins compaction, preserving first-occurrence order — the
-        // same shape as LogStore::compact. Done in place, moving payloads:
-        // should a later step fail, the compacted list still stands for
-        // the same records at the next attempt.
-        let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(self.resident.len());
-        let mut compacted: Vec<(u64, Vec<u8>)> = Vec::with_capacity(self.resident.len());
-        for (key, payload) in std::mem::take(&mut self.resident) {
-            match slot_of.entry(key) {
-                Entry::Occupied(slot) => compacted[*slot.get()].1 = payload,
-                Entry::Vacant(slot) => {
-                    slot.insert(compacted.len());
-                    compacted.push((key, payload));
-                }
-            }
-        }
-        self.resident = compacted;
-
         // 1. Write the new snapshot to a temp file: meta record first,
-        //    then the compacted payloads, all on one chain from genesis.
+        //    then the resident payloads, all on one chain from genesis.
         let tmp = self.dir.join("snapshot.tmp");
         let mut out = BufWriter::new(File::create(&tmp)?);
         let mut meta = SNAPSHOT_MAGIC.to_vec();
         meta.extend_from_slice(&generation.to_le_bytes());
         let mut chain = GENESIS_CHAIN;
-        for payload in std::iter::once(&meta).chain(self.resident.iter().map(|(_, p)| p)) {
+        for payload in std::iter::once(&meta).chain(&self.resident) {
             let (frame, next) = encode_frame(chain, payload);
             out.write_all(&frame)?;
             chain = next;
@@ -711,13 +690,6 @@ impl NamespaceWal {
         self.last_checkpoint_micros = began.elapsed().as_micros() as u64;
         Ok(())
     }
-}
-
-/// Stable key for latest-wins compaction when the writer doesn't supply
-/// one: FNV-1a over the payload (each distinct payload is its own key, so
-/// uncompacted replays keep everything).
-fn entry_key(payload: &[u8]) -> u64 {
-    chain_hash(0, payload)
 }
 
 #[cfg(test)]
@@ -832,11 +804,11 @@ mod tests {
     }
 
     #[test]
-    fn namespace_checkpoint_compacts_and_restores_generation() {
+    fn namespace_checkpoint_keeps_every_record_and_restores_generation() {
         let dir = temp_dir("ns");
         let (mut ns, rec) = NamespaceWal::open(&dir, FsyncPolicy::Always).unwrap();
         assert_eq!(rec.generation, 0);
-        // Three keys, key 1 written twice — compaction keeps the latest.
+        // Execution 1 written twice: the snapshot keeps both records.
         ns.append(1, b"one-v1").unwrap();
         ns.append(2, b"two").unwrap();
         ns.append(1, b"one-v2").unwrap();
@@ -849,10 +821,13 @@ mod tests {
 
         let (ns, rec) = NamespaceWal::open(&dir, FsyncPolicy::Always).unwrap();
         assert_eq!(rec.generation, 5, "snapshot watermark + tail records");
-        assert_eq!(rec.snapshot_records, 3, "key 1 compacted to one record");
+        assert_eq!(rec.snapshot_records, 4, "no record compacted away");
         assert_eq!(rec.wal_records, 1);
-        let payloads: Vec<&[u8]> = rec.entries.iter().map(|(_, p)| p.as_slice()).collect();
-        assert_eq!(payloads, vec![&b"one-v2"[..], b"two", b"three", b"four"]);
+        let payloads: Vec<&[u8]> = rec.entries.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            payloads,
+            vec![&b"one-v1"[..], b"two", b"one-v2", b"three", b"four"]
+        );
         assert_eq!(ns.generation(), 5);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -878,8 +853,7 @@ mod tests {
         assert_eq!(rec.snapshot_records + rec.wal_records, 4096);
         assert!(!rec.truncated, "{:?}", rec.tail_errors);
         let expected: Vec<Vec<u8>> = (0..4096).map(payload).collect();
-        let got: Vec<Vec<u8>> = rec.entries.into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, expected);
+        assert_eq!(rec.entries, expected);
         assert_eq!(ns.generation(), 4096);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -903,7 +877,7 @@ mod tests {
         assert_eq!(rec.wal_records, 0);
         assert!(rec.truncated);
         assert_eq!(rec.generation, 2);
-        let payloads: Vec<&[u8]> = rec.entries.iter().map(|(_, p)| p.as_slice()).collect();
+        let payloads: Vec<&[u8]> = rec.entries.iter().map(Vec::as_slice).collect();
         assert_eq!(payloads, vec![&b"alpha"[..], b"beta"]);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -199,6 +199,14 @@ impl Executor {
         }
     }
 
+    /// Number this executor's executions from `first` instead of 0. A
+    /// process whose provenance leaves it starts from a value no other
+    /// process is likely to pick, so execution ids do not collide.
+    pub fn with_first_exec(self, first: u64) -> Self {
+        self.next_exec.store(first, Ordering::Relaxed);
+        self
+    }
+
     /// Enable memoization with a cache bounded to `capacity` module runs.
     pub fn with_cache(mut self, capacity: usize) -> Self {
         self.cache = Some(Arc::new(Mutex::new(RunCache::new(capacity))));
@@ -1072,6 +1080,17 @@ mod tests {
         assert!(result.succeeded());
         assert_eq!(result.output(s, "out"), Some(&Value::Int(42)));
         assert_eq!(result.node_runs.len(), 3);
+    }
+
+    #[test]
+    fn executions_are_numbered_from_the_first_id() {
+        let (wf, _, _, _) = add_workflow();
+        let counted = Executor::new(test_registry());
+        assert_eq!(counted.run(&wf).unwrap().exec, ExecId(0));
+        let first = 1 << 40;
+        let minted = Executor::new(test_registry()).with_first_exec(first);
+        assert_eq!(minted.run(&wf).unwrap().exec, ExecId(first));
+        assert_eq!(minted.run(&wf).unwrap().exec, ExecId(first + 1));
     }
 
     #[test]

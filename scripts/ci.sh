@@ -157,21 +157,27 @@ PROVTEST_THREADS="${PROVTEST_THREADS:-8}" cargo test -q --test server
 PROVTEST_THREADS="${PROVTEST_THREADS:-8}" cargo test -q --test differential_query \
     concurrent_ingest_and_query_loses_no_writes_on_any_backend
 
+# The `report` verbs write BENCH_*.json into their working directory: run
+# them under target/, so a CI run leaves the committed files as they are.
+BENCH_DIR="$PWD/target/ci-bench"
+mkdir -p "$BENCH_DIR"
+report() { (cd "$BENCH_DIR" && cargo run --release -q -p bench --bin report "$@"); }
+
 echo "==> E18: concurrent server load benchmark"
-cargo run --release -q -p bench --bin report server
-test -s BENCH_server.json
-grep -q '"consistent": true' BENCH_server.json
+report server
+test -s "$BENCH_DIR/BENCH_server.json"
+grep -q '"consistent": true' "$BENCH_DIR/BENCH_server.json"
 
 echo "==> E19: durable ingest benchmark (WAL fsync policies)"
-cargo run --release -q -p bench --bin report durability
-test -s BENCH_durability.json
-grep -q '"consistent":true' BENCH_durability.json
+report durability
+test -s "$BENCH_DIR/BENCH_durability.json"
+grep -q '"consistent":true' "$BENCH_DIR/BENCH_durability.json"
 # The default batch fsync policy must keep >= 80% of what the same WAL
 # sustains when it never fsyncs. (batch_vs_memory_ratio — the WAL against no
 # log at all — is reported, not gated: the log's fixed per-entry cost is the
 # write path's largest term, DESIGN.md §4.3.)
-grep -q '"batch_vs_memory_ratio"' BENCH_durability.json
-awk -F': ' '/batch_vs_never_ratio/ { exit !($2 + 0 >= 0.8) }' BENCH_durability.json
+grep -q '"batch_vs_memory_ratio"' "$BENCH_DIR/BENCH_durability.json"
+awk -F': ' '/batch_vs_never_ratio/ { exit !($2 + 0 >= 0.8) }' "$BENCH_DIR/BENCH_durability.json"
 
 echo "==> observability smoke: traced round-trip with a forced retry, metrics, slowlog"
 # shed_first=1 forces the first API request into a deterministic 503, so
@@ -212,9 +218,9 @@ test -s "$SMOKE_DIR/obs-slowlog.jsonl"
 wait "$SERVE_PID"
 
 echo "==> E20: observability plane overhead benchmark (gate: <= 5%)"
-cargo run --release -q -p bench --bin report observability
-test -s BENCH_observability.json
-awk -F': ' '/overhead_ratio/ { exit !($2 + 0 >= 0.95) }' BENCH_observability.json
+report observability
+test -s "$BENCH_DIR/BENCH_observability.json"
+awk -F': ' '/overhead_ratio/ { exit !($2 + 0 >= 0.95) }' "$BENCH_DIR/BENCH_observability.json"
 
 echo "==> distributed-capture smoke: multi-worker run, stitch, happens-before + trace"
 BLOB_DIR="$SMOKE_DIR/blobs"
@@ -238,9 +244,9 @@ PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --test distributed
 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --test property_distrib
 
 echo "==> E21: distributed capture benchmark (gate: probe overhead <= 5%)"
-cargo run --release -q -p bench --bin report distributed
-test -s BENCH_distributed.json
-awk -F': ' '/overhead_ratio/ { exit !($2 + 0 >= 0.95) }' BENCH_distributed.json
+report distributed
+test -s "$BENCH_DIR/BENCH_distributed.json"
+awk -F': ' '/overhead_ratio/ { exit !($2 + 0 >= 0.95) }' "$BENCH_DIR/BENCH_distributed.json"
 
 echo "==> sharded smoke: scatter-gather query + per-shard EXPLAIN rows + sharded server"
 # Offline scatter-gather must answer exactly like the single engine, and
@@ -277,18 +283,18 @@ test -f "$SHARD_DATA_DIR/lab/SHARDS"
 PROVTEST_THREADS="${PROVTEST_THREADS:-8}" cargo test -q --test property_shard
 
 echo "==> E22: sharded scatter-gather benchmark (gates: speedup_at_4 >= 1.5, stats exact)"
-cargo run --release -q -p bench --bin report sharded
-test -s BENCH_sharded.json
-grep -q '"accesses_match": true' BENCH_sharded.json
-awk -F': ' '/"speedup_at_4"/ { exit !($2 + 0 >= 1.5) }' BENCH_sharded.json
+report sharded
+test -s "$BENCH_DIR/BENCH_sharded.json"
+grep -q '"accesses_match": true' "$BENCH_DIR/BENCH_sharded.json"
+awk -F': ' '/"speedup_at_4"/ { exit !($2 + 0 >= 1.5) }' "$BENCH_DIR/BENCH_sharded.json"
 
 echo "==> E16: query observability overhead benchmark"
-cargo run --release -q -p bench --bin report query
-test -s BENCH_query.json
+report query
+test -s "$BENCH_DIR/BENCH_query.json"
 
 echo "==> E17: cost-based optimizer benchmark"
-cargo run --release -q -p bench --bin report optimizer
-test -s BENCH_optimizer.json
+report optimizer
+test -s "$BENCH_DIR/BENCH_optimizer.json"
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings

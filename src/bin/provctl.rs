@@ -92,8 +92,8 @@ fn usage() -> ExitCode {
          \x20          [data_dir=DIR] [fsync=always|batch[:N[:US]]|never]\n\
          \x20          [checkpoint_every=N]                with data_dir, every acked ingest is\n\
          \x20                                             WAL-durable and replayed on restart;\n\
-         \x20                                             the log is compacted once its tail has\n\
-         \x20                                             N records and as many as the snapshot\n\
+         \x20                                             the log is checkpointed once its tail\n\
+         \x20                                             has N records and as many as the snapshot\n\
          \x20                                             (blocks; stop with 'client ... shutdown')\n\
          \x20          [slowlog_capacity=N] [slowlog_threshold_us=N]\n\
          \x20          [trace_capacity=N] [shed_first=N]    observability knobs: slow-query ring\n\
@@ -125,6 +125,18 @@ fn load_workflow(path: &str) -> Result<Workflow, String> {
 fn load_prov(path: &str) -> Result<RetrospectiveProvenance, String> {
     RetrospectiveProvenance::from_json(&read(path)?)
         .map_err(|e| format!("bad provenance in {path}: {e}"))
+}
+
+/// The first execution id of a `run` or `capture` process: the wall clock
+/// and the pid mixed, so processes on any machine mint ids that do not
+/// collide. Kept below 2^52, because JSON readers hold a number as an
+/// `f64`, which is exact only up to 2^53.
+fn process_exec_nonce() -> u64 {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    provenance_workflows::model::rng::mix64(nanos ^ u64::from(std::process::id()).rotate_left(32))
+        >> 12
 }
 
 /// An empty store backend by name (the log backend is ephemeral — the
@@ -224,7 +236,9 @@ fn run() -> Result<(), String> {
                 }
             }
             let wf = load_workflow(wf_path)?;
-            let exec = Executor::new(standard_registry()).with_policy(policy);
+            let exec = Executor::new(standard_registry())
+                .with_policy(policy)
+                .with_first_exec(process_exec_nonce());
             let mut cap = ProvenanceCapture::new(level);
             let result = exec
                 .run_observed(&wf, &mut cap)
@@ -618,7 +632,7 @@ fn run() -> Result<(), String> {
                 "challenge" => provenance_workflows::engine::synth::challenge_workflow(1, 3, 2),
                 path => load_workflow(path)?,
             };
-            let exec = Executor::new(standard_registry());
+            let exec = Executor::new(standard_registry()).with_first_exec(process_exec_nonce());
             let mut opts = DistribOptions::new(workers)
                 .with_ring_capacity(ring)
                 .with_trace_id(trace_id);

@@ -117,8 +117,7 @@ pub mod prelude {
     };
     pub use prov_social::{Collaboratory, FragmentMiner};
     pub use prov_store::{
-        GraphStore, LogStore, ProvenanceStore, RelStore, SpanStore, StatsSnapshot, StoreStats,
-        TripleStore,
+        GraphStore, LogStore, ProvenanceStore, RelStore, StatsSnapshot, StoreStats, TripleStore,
     };
     pub use prov_telemetry::{
         profile_result, profile_retro, MetricsObserver, RunProfile, SpanCollector, Telemetry, Trace,

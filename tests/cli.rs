@@ -1,6 +1,6 @@
 //! End-to-end tests of the `provctl` command-line tool.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn provctl(args: &[&str]) -> Output {
@@ -122,19 +122,119 @@ fn query_across_multiple_provenance_files() {
     provctl(&["demo", "db", wf.to_str().unwrap()]);
     provctl(&["run", wf.to_str().unwrap(), p1.to_str().unwrap()]);
     provctl(&["run", wf.to_str().unwrap(), p2.to_str().unwrap()]);
-    // NOTE: two runs of the same spec get distinct exec ids 0 and 0 —
-    // each invocation is a fresh process, so both files record exec 0 and
-    // the engine deduplicates runs by (exec, node). Counting executions
-    // still sees a single logical record.
+    // Each `run` process mints its own execution id, so the two files
+    // are two executions of three runs each, not one merged record.
+    let count = |pql: &str| -> usize {
+        let o = provctl(&["query", p1.to_str().unwrap(), p2.to_str().unwrap(), pql]);
+        assert!(o.status.success(), "{}", stderr(&o));
+        stdout(&o).trim().parse().expect("a count")
+    };
+    assert_eq!(count("count executions"), 2);
+    assert_eq!(count("count runs"), 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The execution id a provenance file records.
+fn exec_of(prov: &Path) -> u64 {
+    let text = std::fs::read_to_string(prov).expect("provenance file");
+    let digits = text.split("\"exec\":").nth(1).expect("an exec member");
+    digits
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("an integer exec id")
+}
+
+/// Start `provctl serve` on an ephemeral port; returns the child and the
+/// address it bound, read from its first stdout line.
+fn spawn_serve() -> (std::process::Child, String) {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_provctl"))
+        .args(["serve", "127.0.0.1:0", "workers=2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    let mut first_line = String::new();
+    std::io::BufReader::new(serve.stdout.take().expect("stdout piped"))
+        .read_line(&mut first_line)
+        .expect("read listen line");
+    let addr = first_line
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address on listen line")
+        .to_string();
+    (serve, addr)
+}
+
+#[test]
+fn two_captures_stitch_into_two_executions() {
+    let dir = tempdir("captures");
+    let mut stitched = Vec::new();
+    for site in ["a", "b"] {
+        let blobs = dir.join(format!("blobs-{site}"));
+        let o = provctl(&["capture", "fig1", blobs.to_str().unwrap(), "workers=2"]);
+        assert!(o.status.success(), "{}", stderr(&o));
+        let out = dir.join(format!("{site}.json"));
+        let o = provctl(&[
+            "stitch",
+            blobs.to_str().unwrap(),
+            &format!("out={}", out.to_str().unwrap()),
+        ]);
+        assert!(o.status.success(), "{}", stderr(&o));
+        stitched.push(out);
+    }
+    assert_ne!(exec_of(&stitched[0]), exec_of(&stitched[1]));
     let o = provctl(&[
         "query",
-        p1.to_str().unwrap(),
-        p2.to_str().unwrap(),
-        "count runs",
+        stitched[0].to_str().unwrap(),
+        stitched[1].to_str().unwrap(),
+        "count executions",
     ]);
+    assert_eq!(stdout(&o).trim(), "2", "{}", stderr(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn minted_execution_ids_survive_the_file_the_query_and_the_server() {
+    let dir = tempdir("exec-ids");
+    let wf = dir.join("wf.json");
+    let prov = dir.join("p.json");
+    provctl(&["demo", "db", wf.to_str().unwrap()]);
+    let o = provctl(&["run", wf.to_str().unwrap(), prov.to_str().unwrap()]);
     assert!(o.status.success(), "{}", stderr(&o));
-    let n: usize = stdout(&o).trim().parse().expect("a count");
-    assert!(n >= 3);
+    let exec = exec_of(&prov);
+    assert!(
+        exec > u64::from(u32::MAX),
+        "a minted id, not a counter: {exec}"
+    );
+
+    let o = provctl(&["query", prov.to_str().unwrap(), "list executions"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(
+        stdout(&o).starts_with(&format!("execution {exec} ")),
+        "{}",
+        stdout(&o)
+    );
+    let by_id = format!("count runs where exec = {exec}");
+    let o = provctl(&["query", prov.to_str().unwrap(), &by_id]);
+    assert_eq!(stdout(&o).trim(), "3", "{}", stderr(&o));
+
+    let (mut serve, addr) = spawn_serve();
+    let o = provctl(&["client", &addr, "ingest", "lab", prov.to_str().unwrap()]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let o = provctl(&["client", &addr, "query", "lab", "list executions"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).contains(&exec.to_string()), "{}", stdout(&o));
+    let o = provctl(&["client", &addr, "query", "lab", &by_id]);
+    assert!(stdout(&o).contains("\"value\":3"), "{}", stdout(&o));
+    let o = provctl(&["client", &addr, "shutdown"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(serve.wait().expect("serve exits").success());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -481,27 +581,7 @@ fn a_closed_stdout_ends_quietly_after_the_files_are_written() {
 
 #[test]
 fn serve_and_client_round_trip_over_http() {
-    use std::io::BufRead;
-    use std::process::Stdio;
-
-    // Start a server on an ephemeral port and read the bound address
-    // from its first stdout line.
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_provctl"))
-        .args(["serve", "127.0.0.1:0", "workers=2"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
-    let mut first_line = String::new();
-    std::io::BufReader::new(serve.stdout.take().expect("stdout piped"))
-        .read_line(&mut first_line)
-        .expect("read listen line");
-    let addr = first_line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address on listen line")
-        .to_string();
+    let (mut serve, addr) = spawn_serve();
 
     let o = provctl(&["client", &addr, "health"]);
     assert!(o.status.success(), "{}", stderr(&o));

@@ -6,7 +6,7 @@
 //!
 //! * on the engine: naive `eval_query` vs cost-based `eval_optimized` vs
 //!   the LRU-cached path — all three must agree exactly (order included),
-//!   and an error in one mode must be an error in every mode;
+//!   and an error in one mode must be the same error in every mode;
 //! * on the four store backends, for the query shapes that map onto the
 //!   backend-neutral store surface: naive vs `set_optimized(true)` on
 //!   each backend — all eight canonical result sets must be identical;
@@ -14,6 +14,10 @@
 //!   and tenth modes): the same corpus partitioned by seeded execution
 //!   hash must answer every query — naive, optimized, and cached —
 //!   exactly like the single engine.
+//!
+//! A last test runs the same generated queries against a WAL-backed
+//! server: a seeded script of ingests and restarts, where every
+//! recovered server must answer exactly like the live one it replaced.
 //!
 //! Wherever the optimizer chose an index lookup (engine and both sharded
 //! modes), the lookup must also yield exactly the rows its keys select —
@@ -336,7 +340,7 @@ fn divergence(
     let fast = eval_optimized(engine, q);
     match (&naive, &fast) {
         (Ok(a), Ok(b)) if a == b => {}
-        (Err(_), Err(_)) => {}
+        (Err(a), Err(b)) if a == b => {}
         _ => return Some(format!("engine naive {naive:?} != optimized {fast:?}")),
     }
     // Mode 3: the LRU-cached path (twice: fill, then hit).
@@ -353,7 +357,7 @@ fn divergence(
     }
     // Modes 9/10: the sharded(2)/sharded(4) scatter-gather engines, each
     // in naive, optimized, and cached form, must agree with the single
-    // engine exactly — results, order, and error-ness.
+    // engine exactly — results, order, and errors.
     for se in shardeds {
         let s_naive = se.eval_query(q);
         let s_fast = se.eval_optimized(q);
@@ -365,7 +369,7 @@ fn divergence(
         ] {
             match (&naive, got) {
                 (Ok(a), Ok(b)) if a == b => {}
-                (Err(_), Err(_)) => {}
+                (Err(a), Err(b)) if a == b => {}
                 _ => {
                     return Some(format!(
                         "{} {mode} {got:?} != engine naive {naive:?}",
@@ -790,78 +794,189 @@ fn concurrent_ingest_and_query_loses_no_writes_on_any_backend() {
     }
 }
 
+/// Everything a client can read back from a namespace: the generation,
+/// the counts, the ack of every request id sent so far (by re-sending it),
+/// and the answer — or error message — to each of a case's queries.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    generation: u64,
+    counts: (usize, usize, usize),
+    acks: Vec<prov_server::IngestAck>,
+    answers: Vec<Result<QueryResult, String>>,
+}
+
+/// One request of a durability script: document `doc` ingested as
+/// execution `exec`, under `id` when the client named the request.
+#[derive(Debug, Clone)]
+struct Request {
+    doc: usize,
+    exec: u64,
+    id: Option<String>,
+}
+
+fn send(
+    server: &std::sync::Arc<prov_server::ProvServer>,
+    docs: &[RetrospectiveProvenance],
+    request: &Request,
+) -> prov_server::IngestAck {
+    let mut retro = docs[request.doc].clone();
+    retro.exec = wf_engine::ExecId(request.exec);
+    server
+        .session("differential")
+        .ingest_with_id("lab", &retro, request.id.as_deref())
+        .expect("ingest succeeds")
+}
+
+fn observe(
+    server: &std::sync::Arc<prov_server::ProvServer>,
+    docs: &[RetrospectiveProvenance],
+    named: &[Request],
+    queries: &[String],
+) -> Observed {
+    let session = server.session("differential");
+    let stats = session.stats("lab").expect("namespace exists");
+    Observed {
+        generation: stats.generation,
+        counts: (stats.runs, stats.artifacts, stats.executions),
+        acks: named.iter().map(|r| send(server, docs, r)).collect(),
+        answers: queries
+            .iter()
+            .map(|q| {
+                session
+                    .query("lab", q)
+                    .map(|reply| reply.result)
+                    .map_err(|e| e.to_string())
+            })
+            .collect(),
+    }
+}
+
 #[test]
 fn wal_recovered_store_agrees_with_the_precrash_reference() {
-    // Durability differential: ingest the corpus into a WAL-backed server
-    // and into a plain in-memory engine, "crash" the server (drop it cold),
-    // recover a fresh one from the WAL directory, and run the seeded query
-    // suite against both. Replay must reconstruct a store that is
-    // *query-indistinguishable* from the one that never crashed.
+    // Durability differential, live == recovered: each case is a seeded
+    // script of ingests — re-ingests under one execution id, repeated
+    // request ids, anonymous sends — and restarts, run against a
+    // WAL-backed server at fsync=never (shards ∈ {1, 2}, checkpoint_every
+    // ∈ {0, 1, 3}) beside an in-memory twin that never restarts. Every
+    // restart drops the server cold and recovers a fresh one from its
+    // directory, which must then be indistinguishable from the server
+    // just before the crash and from the twin.
     use prov_server::{DurabilityConfig, ProvServer, ServerConfig};
+    use provenance_workflows::store::FsyncPolicy;
     use std::sync::Arc;
+    use wf_engine::synth::figure1_workflow;
 
-    let data_dir = std::env::temp_dir().join(format!(
+    let root = std::env::temp_dir().join(format!(
         "prov-diff-wal-{}-{}",
         std::process::id(),
         wf_engine::event::now_millis()
     ));
-    let durable = || ServerConfig {
-        durability: Some(DurabilityConfig::new(&data_dir).checkpoint_every(3)),
-        ..ServerConfig::default()
-    };
-
     let exec = Executor::new(standard_registry());
-    let mut reference = PqlEngine::new();
+    let capture = |wf: &Workflow| {
+        let mut cap = ProvenanceCapture::new(CaptureLevel::Fine);
+        let r = exec.run_observed(wf, &mut cap).expect("workflow runs");
+        cap.take(r.exec).expect("captured")
+    };
+    let mut docs = Vec::new();
+    for i in 1..=3u64 {
+        docs.push(capture(&figure1_workflow(i).0));
+        docs.push(capture(&challenge_workflow(i, 2, 2)));
+    }
+    // Few execution ids, so a script often re-ingests under one of them.
+    let execs = [1u64, 2, 3, 7];
     let mut pools = Pools {
         digests: Vec::new(),
-        execs: Vec::new(),
+        execs: execs.to_vec(),
         nodes: Vec::new(),
         modules: Vec::new(),
     };
-    {
-        let server = Arc::new(ProvServer::new(durable()));
-        server.recover().expect("fresh recovery");
-        let session = server.session("differential");
-        for i in 0..4u64 {
-            let wf = challenge_workflow(i + 1, 3, 3);
-            let mut cap = ProvenanceCapture::new(CaptureLevel::Fine);
-            let r = exec.run_observed(&wf, &mut cap).expect("workflow runs");
-            let retro = cap.take(r.exec).expect("captured");
-            reference.ingest(&retro);
-            session.ingest("lab", &retro).expect("durable ingest");
-            pools.execs.push(retro.exec.0);
-            for run in &retro.runs {
-                pools.nodes.push(run.node.0);
-                pools.modules.push(run.identity.clone());
-                for (_, h) in &run.outputs {
-                    pools.digests.push(*h);
-                }
-            }
-        }
-    } // crash: no shutdown, no flush beyond the WAL's own appends
-
-    let server = Arc::new(ProvServer::new(durable()));
-    let reports = server.recover().expect("recovery succeeds");
-    assert_eq!(reports.len(), 1, "one namespace on disk");
-    let session = server.session("differential");
-
-    pools.digests.sort_unstable();
-    pools.digests.dedup();
-    pools.modules.sort();
-    pools.modules.dedup();
-    let mut rng = Lcg::new(0x3A1D);
-    let cases = case_count();
-    for case in 0..cases {
-        let q = gen_query(&mut rng, &pools);
-        let want = eval_optimized(&reference, &q);
-        let got = session.query("lab", &q.to_string());
-        match (&want, &got) {
-            (Ok(w), Ok(g)) => {
-                assert_eq!(*w, g.result, "case {case}: {q} diverged after WAL recovery")
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("case {case}: {q}: reference {want:?} vs recovered {got:?}"),
+    for retro in &docs {
+        for run in &retro.runs {
+            pools.nodes.push(run.node.0);
+            pools.modules.push(run.identity.clone());
+            pools.digests.extend(run.outputs.iter().map(|(_, h)| *h));
         }
     }
-    std::fs::remove_dir_all(&data_dir).ok();
+    pools.digests.sort_unstable();
+    pools.digests.dedup();
+    pools.nodes.sort_unstable();
+    pools.nodes.dedup();
+    pools.modules.sort();
+    pools.modules.dedup();
+
+    let cases = case_count();
+    let mut restarts = 0usize;
+    for case in 0..cases {
+        let mut rng = Lcg::new(0x3A1D ^ case as u64);
+        let shards = 1 + case % 2;
+        let every = [0, 1, 3][case / 2 % 3];
+        let dir = root.join(format!("case-{case}"));
+        let durable = ServerConfig {
+            shards,
+            durability: Some(
+                DurabilityConfig::new(&dir)
+                    .fsync(FsyncPolicy::Never)
+                    .checkpoint_every(every),
+            ),
+            ..ServerConfig::default()
+        };
+        let open = || {
+            let server = Arc::new(ProvServer::new(durable.clone()));
+            server.recover().expect("recovery succeeds");
+            server
+        };
+        let twin = Arc::new(ProvServer::new(ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        }));
+        let mut queries: Vec<String> = ["count runs", "count artifacts", "count executions"]
+            .map(String::from)
+            .to_vec();
+        queries.extend((0..12).map(|_| gen_query(&mut rng, &pools).to_string()));
+
+        let mut server = open();
+        let mut named: Vec<Request> = Vec::new();
+        let mut script: Vec<String> = Vec::new();
+        let steps = 4 + rng.below(9);
+        for step in 0..=steps {
+            if step == steps || (!script.is_empty() && rng.chance(15)) {
+                let live = observe(&server, &docs, &named, &queries);
+                drop(server); // crash: no shutdown, no flush beyond the WAL's own appends
+                server = open();
+                restarts += 1;
+                script.push("restart".into());
+                let recovered = observe(&server, &docs, &named, &queries);
+                let context = format!(
+                    "case {case} (shards={shards}, checkpoint_every={every})\n  script: {script:?}\n  queries: {queries:?}"
+                );
+                assert_eq!(recovered, live, "recovered != live\n  {context}");
+                let reference = observe(&twin, &docs, &named, &queries);
+                assert_eq!(recovered, reference, "recovered != in-memory\n  {context}");
+                continue;
+            }
+            let request = if !named.is_empty() && rng.chance(25) {
+                named[rng.below(named.len())].clone()
+            } else {
+                let request = Request {
+                    doc: rng.below(docs.len()),
+                    exec: *rng.pick(&execs),
+                    id: rng.chance(70).then(|| format!("req-{step}")),
+                };
+                if request.id.is_some() {
+                    named.push(request.clone());
+                }
+                request
+            };
+            script.push(format!("{request:?}"));
+            let (got, want) = (send(&server, &docs, &request), send(&twin, &docs, &request));
+            assert_eq!(
+                got, want,
+                "case {case}: durable and in-memory acks differ\n  script: {script:?}"
+            );
+        }
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(restarts >= cases, "every case restarts at least once");
+    std::fs::remove_dir_all(&root).ok();
 }

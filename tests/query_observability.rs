@@ -5,7 +5,7 @@
 //! metrics, slow-query log) is exercised end to end.
 
 use provenance_workflows::prelude::*;
-use provenance_workflows::telemetry::{spans_jsonl, SpanKind};
+use provenance_workflows::telemetry::{spans_from_jsonl, spans_jsonl, SpanKind};
 use std::collections::{BTreeMap, BTreeSet};
 use wf_engine::synth::figure1_workflow;
 
@@ -283,11 +283,10 @@ fn observer_front_end_covers_every_backend_and_exports_cleanly() {
     assert!(obs.slowlog.render().contains("5 retained"));
 
     // Spans: one query span per evaluation, exportable as JSONL and
-    // re-ingestible by the span store without loss.
+    // parsed back without loss.
     let trace = obs.take_trace();
     assert_eq!(trace.spans.len(), 5);
     assert!(trace.spans.iter().all(|s| s.kind == SpanKind::Query));
-    let (back, skipped) = SpanStore::from_jsonl(&spans_jsonl(&trace));
-    assert!(skipped.is_empty());
-    assert_eq!(back.len(), 5);
+    let back = spans_from_jsonl(&spans_jsonl(&trace)).expect("the span log parses back");
+    assert_eq!(back.spans.len(), 5);
 }
