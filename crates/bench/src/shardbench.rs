@@ -4,25 +4,26 @@
 //! artifact generations, each produced by `width` distinct executions
 //! that all consume the previous generation's artifact. An unbounded
 //! filtered lineage query from the newest artifact therefore walks
-//! run levels `width` wide — above the engine's parallel fan-out
-//! threshold — and the `where module contains ...` filter plus row
-//! collection do real string work per discovered row.
+//! run levels `width` wide, and the `where module contains ...` filter
+//! plus row collection do real string work per discovered row.
 //!
 //! Two speedup numbers are reported, deliberately distinct:
 //!
 //! * **wall speedup** — measured wall-clock of the unsharded engine over
-//!   the sharded engine *on this machine*. On a single-core box this
-//!   hovers near 1.0 (scoped threads cannot beat physics);
+//!   the sharded engine *on this machine*. The sharded engine runs every
+//!   stage on the calling thread, so this reads the cost of routing and
+//!   merging: at best about 1.0;
 //! * **scatter speedup** — the critical-path ratio: total per-shard busy
 //!   time over the busiest shard's busy time, taken from the EXPLAIN
-//!   ANALYZE `shard i/n` lanes. This is the wall-clock speedup a
-//!   coordinator realizes once it has at least `shards` cores, and it is
-//!   what the `speedup_at_4` gate in `BENCH_sharded.json` pins.
+//!   ANALYZE `shard i/n` lanes. It estimates what a coordinator running
+//!   each shard on its own core would gain, and it is what the
+//!   `speedup_at_4` gate in `BENCH_sharded.json` pins: a diagnostic of
+//!   how evenly routing spreads the work, not a measured speedup.
 //!
 //! The bench also re-checks the truthfulness invariant the whole design
 //! leans on: the sharded EXPLAIN ANALYZE access totals must equal the
-//! unsharded totals *exactly* (`accesses_match`), because every shard
-//! reports into one shared [`prov_store::StoreStats`] recorder.
+//! unsharded totals *exactly* (`accesses_match`), because every shard and
+//! the coordinator count into the one tally of the query.
 
 use prov_core::model::{Artifact, Environment, ModuleRun, RetrospectiveProvenance};
 use prov_query::{analyze, parse, Analysis, PqlEngine, ShardedEngine};
@@ -105,6 +106,8 @@ pub struct ShardBenchRow {
     pub wall_speedup: f64,
     /// Busy µs per shard lane, summed over every scatter stage.
     pub lane_busy_us: Vec<u64>,
+    /// Rows each shard lane fetched, summed over every scatter stage.
+    pub lane_rows: Vec<usize>,
     /// Critical-path ratio: Σ lane busy / max lane busy.
     pub scatter_speedup: f64,
     /// Result rows the filtered lineage produced.
@@ -113,21 +116,24 @@ pub struct ShardBenchRow {
     pub accesses_match: bool,
 }
 
-/// Busy time per shard, read off the `shard i/n` EXPLAIN ANALYZE rows.
-fn lane_busy(analysis: &Analysis, shards: usize) -> Vec<u64> {
+/// Busy time (µs) and fetched rows per shard, read off the `shard i/n`
+/// EXPLAIN ANALYZE rows.
+fn lanes(analysis: &Analysis, shards: usize) -> (Vec<u64>, Vec<usize>) {
     let mut busy = vec![0u64; shards];
+    let mut rows = vec![0usize; shards];
     for op in &analysis.ops {
         if let Some(rest) = op.label.strip_prefix("shard ") {
             if let Some((s, _)) = rest.split_once('/') {
                 if let Ok(s) = s.parse::<usize>() {
                     if s < shards {
                         busy[s] += op.self_micros;
+                        rows[s] += op.rows_out;
                     }
                 }
             }
         }
     }
-    busy
+    (busy, rows)
 }
 
 /// Run the filtered-lineage workload unsharded and at each shard count.
@@ -166,7 +172,7 @@ pub fn experiment_sharded(
                 "sharded({n}) result diverged from unsharded"
             );
             let accesses_match = analysis.total_accesses() == reference.total_accesses();
-            let busy = lane_busy(&analysis, n);
+            let (busy, lane_rows) = lanes(&analysis, n);
             let total: u64 = busy.iter().sum();
             let peak = busy.iter().copied().max().unwrap_or(0).max(1);
             let eval_us =
@@ -176,6 +182,7 @@ pub fn experiment_sharded(
                 eval_us,
                 wall_speedup: base_us / eval_us.max(1e-9),
                 lane_busy_us: busy,
+                lane_rows,
                 scatter_speedup: total as f64 / peak as f64,
                 rows: match &analysis.result {
                     prov_query::QueryResult::Nodes(rows) => rows.len(),
@@ -258,12 +265,16 @@ mod tests {
             );
             assert!(r.rows > 0);
             assert_eq!(r.lane_busy_us.len(), r.shards);
+            assert_eq!(r.lane_rows.len(), r.shards);
         }
-        // Four balanced shards give a critical-path ratio well above 1.
+        // Routing spreads the work over all four shards: each fetched
+        // rows, none fetched them all. (Counts, not busy time: a lane's
+        // share of this small corpus can read 0 µs in a release build.)
+        let fetched: usize = rows[1].lane_rows.iter().sum();
         assert!(
-            rows[1].scatter_speedup > 1.0,
-            "4 shards must spread busy time: {:?}",
-            rows[1].lane_busy_us
+            rows[1].lane_rows.iter().all(|&r| r > 0 && r < fetched),
+            "4 shards must spread the rows: {:?}",
+            rows[1].lane_rows
         );
         let doc = sharded_json(12, 3, base_us, &rows);
         assert!(doc.contains("\"speedup_at_4\":"));

@@ -8,6 +8,7 @@
 use crate::ast::*;
 use crate::error::PqlError;
 use crate::parser::parse;
+use crate::plan::Tally;
 use prov_core::model::RetrospectiveProvenance;
 use prov_store::StoreStats;
 use std::collections::btree_map::Entry;
@@ -185,17 +186,13 @@ impl<K: Ord> Postings<K> {
 
     /// Counted probe: one keyed lookup plus one node read per posting
     /// entry, which come out in scan order.
-    pub(crate) fn probe<'a>(
-        &'a self,
-        stats: &StoreStats,
-        value: &str,
-    ) -> impl Iterator<Item = K> + 'a
+    pub(crate) fn probe<'a>(&'a self, tally: &Tally, value: &str) -> impl Iterator<Item = K> + 'a
     where
         K: Copy,
     {
-        stats.add_keyed_lookups(1);
+        tally.add_keyed_lookups(1);
         let posting = self.get(value);
-        stats.add_node_reads(posting.len() as u64);
+        tally.add_node_reads(posting.len() as u64);
         posting.copied()
     }
 }
@@ -551,45 +548,38 @@ impl PqlEngine {
     // `eval_query` above is deliberately left un-instrumented: it is the
     // reference implementation the plan executor must match (the property
     // test in tests/property_query_plan.rs checks result equality). The
-    // accessors below do the same primitive reads but bump the engine's
-    // `StoreStats`, so EXPLAIN ANALYZE can attribute access counts to
+    // accessors below do the same primitive reads but bump the calling
+    // query's `Tally`, so EXPLAIN ANALYZE can attribute access counts to
     // individual plan operators via snapshot deltas.
 
-    /// The engine's access recorder (bumped only by the plan executor).
+    /// The engine's access recorder: every access the plan executor has
+    /// made so far. Each query adds its tally here when it returns.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
     }
 
-    /// Replace the engine's recorder with a (cheaply cloned) handle onto
-    /// `stats`, so several engines bump one shared counter block. The
-    /// sharded engine adopts one recorder into every shard, making EXPLAIN
-    /// ANALYZE access totals sum exactly across shards.
-    pub(crate) fn adopt_stats(&mut self, stats: &StoreStats) {
-        self.stats = stats.clone();
-    }
-
     /// Counted anchor resolution: one keyed lookup + one node read.
-    pub(crate) fn resolve_counted(&self, t: Target) -> Result<PNode, PqlError> {
-        self.stats.add_keyed_lookups(1);
-        self.stats.add_node_reads(1);
+    pub(crate) fn resolve_counted(&self, tally: &Tally, t: Target) -> Result<PNode, PqlError> {
+        tally.add_keyed_lookups(1);
+        tally.add_node_reads(1);
         self.resolve(t)
     }
 
     /// Counted adjacency access: one keyed lookup, one node read, and one
     /// edge read per adjacency entry.
-    pub(crate) fn neighbors_counted(&self, n: PNode, reverse: bool) -> &[PNode] {
-        self.stats.add_keyed_lookups(1);
-        self.stats.add_node_reads(1);
+    pub(crate) fn neighbors_counted(&self, tally: &Tally, n: PNode, reverse: bool) -> &[PNode] {
+        tally.add_keyed_lookups(1);
+        tally.add_node_reads(1);
         let m = if reverse { &self.pred } else { &self.succ };
         let ns = m.get(&n).map(|v| v.as_slice()).unwrap_or(&[]);
-        self.stats.add_edge_reads(ns.len() as u64);
+        tally.add_edge_reads(ns.len() as u64);
         ns
     }
 
     /// Counted entity enumeration: one scan + one node read per entity, in
     /// the same (key) order `select` iterates.
-    pub(crate) fn scan_entity(&self, entity: Entity) -> Vec<ScanItem> {
-        self.stats.add_scans(1);
+    pub(crate) fn scan_entity(&self, tally: &Tally, entity: Entity) -> Vec<ScanItem> {
+        tally.add_scans(1);
         let items: Vec<ScanItem> = match entity {
             Entity::Runs => self
                 .runs
@@ -603,17 +593,17 @@ impl PqlEngine {
                 .collect(),
             Entity::Executions => self.execs.keys().map(|&e| ScanItem::Exec(e)).collect(),
         };
-        self.stats.add_node_reads(items.len() as u64);
+        tally.add_node_reads(items.len() as u64);
         items
     }
 
     /// Counted filter check: reads the item's metadata (one node read)
     /// unless the condition is trivially true.
-    pub(crate) fn item_matches(&self, item: ScanItem, cond: &Condition) -> bool {
+    pub(crate) fn item_matches(&self, tally: &Tally, item: ScanItem, cond: &Condition) -> bool {
         if cond.is_trivial() {
             return true;
         }
-        self.stats.add_node_reads(1);
+        tally.add_node_reads(1);
         match item {
             ScanItem::Node(n) => self.matches(n, cond),
             ScanItem::Exec(e) => self.exec_matches(e, cond),
@@ -621,8 +611,8 @@ impl PqlEngine {
     }
 
     /// Counted result materialization: one node read for the metadata.
-    pub(crate) fn describe_item(&self, item: ScanItem) -> ResultNode {
-        self.stats.add_node_reads(1);
+    pub(crate) fn describe_item(&self, tally: &Tally, item: ScanItem) -> ResultNode {
+        tally.add_node_reads(1);
         match item {
             ScanItem::Node(n) => self.describe(n),
             ScanItem::Exec(e) => self.describe_exec(e),
@@ -672,6 +662,7 @@ impl PqlEngine {
     /// `None` for fields that key no runs; an unknown key is empty.
     pub(crate) fn probe_run_index(
         &self,
+        tally: &Tally,
         field: Field,
         value: &str,
     ) -> Option<Box<dyn Iterator<Item = (ExecId, NodeId)> + '_>> {
@@ -680,18 +671,22 @@ impl PqlEngine {
             Field::Status => &self.status_index,
             Field::Exec => {
                 let runs = self.exec_runs(value);
-                self.stats.add_keyed_lookups(1);
-                self.stats.add_node_reads(runs.clone().count() as u64);
+                tally.add_keyed_lookups(1);
+                tally.add_node_reads(runs.clone().count() as u64);
                 return Some(Box::new(runs));
             }
             _ => return None,
         };
-        Some(Box::new(index.probe(&self.stats, value)))
+        Some(Box::new(index.probe(tally, value)))
     }
 
     /// Counted probe of the artifact `dtype` index.
-    pub(crate) fn probe_artifact_index(&self, value: &str) -> impl Iterator<Item = u64> + '_ {
-        self.dtype_index.probe(&self.stats, value)
+    pub(crate) fn probe_artifact_index(
+        &self,
+        tally: &Tally,
+        value: &str,
+    ) -> impl Iterator<Item = u64> + '_ {
+        self.dtype_index.probe(tally, value)
     }
 
     /// Uncounted posting length, for cost estimation only. `None` means the
@@ -708,8 +703,8 @@ impl PqlEngine {
 
     /// Counted metadata cardinality: answers trivial `count` queries from
     /// stored sizes (one keyed lookup, no scan).
-    pub(crate) fn meta_count(&self, entity: Entity) -> usize {
-        self.stats.add_keyed_lookups(1);
+    pub(crate) fn meta_count(&self, tally: &Tally, entity: Entity) -> usize {
+        tally.add_keyed_lookups(1);
         match entity {
             Entity::Runs => self.runs.len(),
             Entity::Artifacts => self.artifacts.len(),
@@ -926,7 +921,9 @@ mod tests {
         let (mut e, retro, nodes) = engine();
         assert_eq!(e.generation(), 1);
         let probe = |e: &PqlEngine, field, value: &str| -> Vec<(ExecId, NodeId)> {
-            e.probe_run_index(field, value).unwrap().collect()
+            e.probe_run_index(&Tally::default(), field, value)
+                .unwrap()
+                .collect()
         };
         // Bare and full module keys point at the same runs.
         let full = probe(&e, Field::Module, "Histogram@1");
@@ -937,7 +934,9 @@ mod tests {
         assert_eq!(all.len(), e.run_count());
         // Unknown keys are empty postings, unindexed fields are None.
         assert!(probe(&e, Field::Status, "nope").is_empty());
-        assert!(e.probe_run_index(Field::Attempts, "1").is_none());
+        assert!(e
+            .probe_run_index(&Tally::default(), Field::Attempts, "1")
+            .is_none());
         // `exec` is keyed by the run map itself: the execution's runs are
         // one range, and only the id's exact decimal form selects it.
         let exec = retro.exec.0.to_string();

@@ -28,7 +28,9 @@
 use crate::ast::*;
 use crate::error::PqlError;
 use crate::eval::{PNode, PqlEngine, QueryResult, ScanItem};
-use crate::plan::{analyze, measured, Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp};
+use crate::plan::{
+    analyze_with, measured, tallied, Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp, Tally,
+};
 use prov_store::StatsSnapshot;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -267,15 +269,25 @@ fn chain_reports(stages: Vec<StageReport>) -> Vec<OpReport> {
 
 /// EXPLAIN ANALYZE through the optimizer: execute the rewritten plan,
 /// annotating every operator with rows in/out, the cost model's estimate,
-/// self-time, and access counts. Falls back to [`analyze`] when no rewrite
-/// applies.
+/// self-time, and access counts. Falls back to [`crate::plan::analyze`]
+/// when no rewrite applies.
 pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> {
+    tallied(engine.stats(), |tally| {
+        analyze_optimized_with(engine, tally, query)
+    })
+}
+
+fn analyze_optimized_with(
+    engine: &PqlEngine,
+    tally: &Tally,
+    query: &Query,
+) -> Result<Analysis, PqlError> {
     let opt = optimize(engine, query);
     match opt.chosen.clone() {
-        Rewrite::None => analyze(engine, query),
+        Rewrite::None => analyze_with(engine, tally, query),
         Rewrite::MetaCount { entity } => {
             let t_total = Instant::now();
-            let (n, t, d) = measured(engine, || engine.meta_count(entity));
+            let (n, t, d) = measured(tally, || engine.meta_count(tally, entity));
             Ok(Analysis {
                 plan: opt.plan,
                 result: QueryResult::Count(n),
@@ -302,11 +314,16 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
             };
             // Union of postings through a BTreeSet: candidates come out in
             // key order, which is exactly the order a scan enumerates.
-            let (candidates, t, d) = measured(engine, || match entity {
+            let (candidates, t, d) = measured(tally, || match entity {
                 Entity::Runs => {
                     let mut set: BTreeSet<(ExecId, NodeId)> = BTreeSet::new();
                     for (field, value) in &keys {
-                        set.extend(engine.probe_run_index(*field, value).into_iter().flatten());
+                        set.extend(
+                            engine
+                                .probe_run_index(tally, *field, value)
+                                .into_iter()
+                                .flatten(),
+                        );
                     }
                     set.into_iter()
                         .map(|(e, n)| ScanItem::Node(PNode::Run(e, n)))
@@ -315,7 +332,7 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
                 Entity::Artifacts => {
                     let mut set: BTreeSet<u64> = BTreeSet::new();
                     for (_, value) in &keys {
-                        set.extend(engine.probe_artifact_index(value));
+                        set.extend(engine.probe_artifact_index(tally, value));
                     }
                     set.into_iter()
                         .map(|h| ScanItem::Node(PNode::Artifact(h)))
@@ -337,10 +354,10 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
             ));
 
             let rows_in = candidates.len();
-            let (kept, t, d) = measured(engine, || {
+            let (kept, t, d) = measured(tally, || {
                 candidates
                     .into_iter()
-                    .filter(|&it| engine.item_matches(it, filter))
+                    .filter(|&it| engine.item_matches(tally, it, filter))
                     .collect::<Vec<_>>()
             });
             stages.push((
@@ -368,9 +385,9 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
                 ));
                 QueryResult::Count(n)
             } else {
-                let (rows, t, d) = measured(engine, || {
+                let (rows, t, d) = measured(tally, || {
                     kept.into_iter()
-                        .map(|it| engine.describe_item(it))
+                        .map(|it| engine.describe_item(tally, it))
                         .collect::<Vec<_>>()
                 });
                 stages.push((
@@ -404,7 +421,7 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
             let t_total = Instant::now();
             let mut stages: Vec<StageReport> = Vec::new();
 
-            let (anchor, t, d) = measured(engine, || engine.resolve_counted(*target));
+            let (anchor, t, d) = measured(tally, || engine.resolve_counted(tally, *target));
             let anchor = anchor?;
             stages.push((
                 PlanOp::Anchor { target: *target }.label(),
@@ -417,10 +434,10 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
 
             let reverse = *direction == Direction::Upstream;
             // Same discovery order as the BFS's first (and only) level.
-            let (discovered, t, d) = measured(engine, || {
+            let (discovered, t, d) = measured(tally, || {
                 let mut out = Vec::new();
                 let mut seen: BTreeSet<PNode> = [anchor].into();
-                for &m in engine.neighbors_counted(anchor, reverse) {
+                for &m in engine.neighbors_counted(tally, anchor, reverse) {
                     if seen.insert(m) {
                         out.push(m);
                     }
@@ -444,10 +461,10 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
                 discovered
             } else {
                 let rows_in = discovered.len();
-                let (kept, t, d) = measured(engine, || {
+                let (kept, t, d) = measured(tally, || {
                     discovered
                         .into_iter()
-                        .filter(|&n| engine.item_matches(ScanItem::Node(n), filter))
+                        .filter(|&n| engine.item_matches(tally, ScanItem::Node(n), filter))
                         .collect::<Vec<_>>()
                 });
                 stages.push((
@@ -465,9 +482,9 @@ pub fn analyze_optimized(engine: &PqlEngine, query: &Query) -> Result<Analysis, 
             };
 
             let rows_in = kept.len();
-            let (rows, t, d) = measured(engine, || {
+            let (rows, t, d) = measured(tally, || {
                 kept.into_iter()
-                    .map(|n| engine.describe_item(ScanItem::Node(n)))
+                    .map(|n| engine.describe_item(tally, ScanItem::Node(n)))
                     .collect::<Vec<_>>()
             });
             let collect_est = stages.last().and_then(|s| s.3);

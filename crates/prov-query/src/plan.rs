@@ -8,10 +8,13 @@
 //!   [`Query`] (`provctl explain` renders it);
 //! * [`analyze`] executes the plan against a [`PqlEngine`], timing every
 //!   operator and attributing store accesses to it via
-//!   [`StatsSnapshot`] deltas of the engine's counted access layer
-//!   (EXPLAIN ANALYZE). The executor reproduces `PqlEngine::eval_query`
-//!   exactly — same traversal rules, same result order — which the
-//!   plan/eval equivalence property test pins down;
+//!   [`StatsSnapshot`] deltas of a `Tally` private to the query, which
+//!   the engine's counted access layer bumps (EXPLAIN ANALYZE). The
+//!   query's total joins the engine's shared recorder once, when it
+//!   returns, so concurrent readers never count each other's work. The
+//!   executor reproduces `PqlEngine::eval_query` exactly — same
+//!   traversal rules, same result order — which the plan/eval
+//!   equivalence property test pins down;
 //! * [`analyze_store`] runs the queries that map onto the backend-neutral
 //!   [`ProvenanceStore`] surface against *any* backend, reporting the
 //!   per-operator access counts of that backend's [`StoreStats`] recorder
@@ -20,7 +23,8 @@
 use crate::ast::*;
 use crate::error::PqlError;
 use crate::eval::{PNode, PqlEngine, QueryResult, ScanItem};
-use prov_store::{ProvenanceStore, StatsSnapshot};
+use prov_store::{ProvenanceStore, StatsSnapshot, StoreStats};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -451,14 +455,63 @@ impl CostModel {
     }
 }
 
+/// The store accesses of one query, counted as it runs.
+///
+/// The counted accessors bump the tally of the query that calls them, not
+/// the engine's shared [`StoreStats`]: a snapshot delta of a shared
+/// recorder would also hold the work of every other query running beside
+/// it under the same read lock. A tally never leaves its query's thread,
+/// so plain cells suffice.
+#[derive(Debug, Default)]
+pub(crate) struct Tally(Cell<StatsSnapshot>);
+
+impl Tally {
+    fn bump(&self, f: impl FnOnce(&mut StatsSnapshot)) {
+        let mut s = self.0.get();
+        f(&mut s);
+        self.0.set(s);
+    }
+
+    pub(crate) fn add_node_reads(&self, n: u64) {
+        self.bump(|s| s.node_reads += n);
+    }
+
+    pub(crate) fn add_edge_reads(&self, n: u64) {
+        self.bump(|s| s.edge_reads += n);
+    }
+
+    pub(crate) fn add_keyed_lookups(&self, n: u64) {
+        self.bump(|s| s.keyed_lookups += n);
+    }
+
+    pub(crate) fn add_scans(&self, n: u64) {
+        self.bump(|s| s.scans += n);
+    }
+
+    /// The accesses counted so far.
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        self.0.get()
+    }
+}
+
+/// Run one query against a fresh [`Tally`], then add its total to
+/// `stats`, the engine's "every access so far" recorder — once, whether
+/// the query succeeded or not.
+pub(crate) fn tallied<T>(stats: &StoreStats, f: impl FnOnce(&Tally) -> T) -> T {
+    let tally = Tally::default();
+    let out = f(&tally);
+    stats.add(&tally.snapshot());
+    out
+}
+
 /// A measured stage: runs `f`, returns its output plus (self-time µs,
-/// access delta) against the engine's recorder.
-pub(crate) fn measured<T>(engine: &PqlEngine, f: impl FnOnce() -> T) -> (T, u64, StatsSnapshot) {
-    let before = engine.stats().snapshot();
+/// access delta) against the query's tally.
+pub(crate) fn measured<T>(tally: &Tally, f: impl FnOnce() -> T) -> (T, u64, StatsSnapshot) {
+    let before = tally.snapshot();
     let t0 = Instant::now();
     let out = f();
     let micros = t0.elapsed().as_micros() as u64;
-    let delta = engine.stats().snapshot().delta(&before);
+    let delta = tally.snapshot().delta(&before);
     (out, micros, delta)
 }
 
@@ -466,6 +519,15 @@ pub(crate) fn measured<T>(engine: &PqlEngine, f: impl FnOnce() -> T) -> (T, u64,
 /// every operator with rows in/out, self-time, and store-access counts.
 /// The result is guaranteed identical to `PqlEngine::eval_query`.
 pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> {
+    tallied(engine.stats(), |tally| analyze_with(engine, tally, query))
+}
+
+/// [`analyze`], counting into the caller's tally.
+pub(crate) fn analyze_with(
+    engine: &PqlEngine,
+    tally: &Tally,
+    query: &Query,
+) -> Result<Analysis, PqlError> {
     let plan = Plan::of(query);
     let t_total = Instant::now();
     // Reports are first built in execution order (leaves before roots),
@@ -479,14 +541,14 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
             depth,
             filter,
         } => {
-            let (anchor, t, d) = measured(engine, || engine.resolve_counted(*target));
+            let (anchor, t, d) = measured(tally, || engine.resolve_counted(tally, *target));
             let anchor = anchor?;
             exec_reports.push((PlanOp::Anchor { target: *target }, 0, 1, t, d));
 
             let reverse = *direction == Direction::Upstream;
             // Same BFS as eval_query: nodes at the depth limit are included
             // but not expanded; discovery order is result order.
-            let (discovered, t, dstats) = measured(engine, || {
+            let (discovered, t, dstats) = measured(tally, || {
                 let mut discovered: Vec<PNode> = Vec::new();
                 let mut seen: BTreeSet<PNode> = [anchor].into();
                 let mut q: VecDeque<(PNode, usize)> = [(anchor, 0usize)].into();
@@ -496,7 +558,7 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
                             continue;
                         }
                     }
-                    for &m in engine.neighbors_counted(n, reverse) {
+                    for &m in engine.neighbors_counted(tally, n, reverse) {
                         if seen.insert(m) {
                             discovered.push(m);
                             q.push_back((m, d + 1));
@@ -520,10 +582,10 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
                 discovered
             } else {
                 let rows_in = discovered.len();
-                let (kept, t, d) = measured(engine, || {
+                let (kept, t, d) = measured(tally, || {
                     discovered
                         .into_iter()
-                        .filter(|&n| engine.item_matches(ScanItem::Node(n), filter))
+                        .filter(|&n| engine.item_matches(tally, ScanItem::Node(n), filter))
                         .collect::<Vec<_>>()
                 });
                 exec_reports.push((
@@ -539,26 +601,26 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
             };
 
             let rows_in = kept.len();
-            let (rows, t, d) = measured(engine, || {
+            let (rows, t, d) = measured(tally, || {
                 kept.into_iter()
-                    .map(|n| engine.describe_item(ScanItem::Node(n)))
+                    .map(|n| engine.describe_item(tally, ScanItem::Node(n)))
                     .collect::<Vec<_>>()
             });
             exec_reports.push((PlanOp::Collect, rows_in, rows.len(), t, d));
             QueryResult::Nodes(rows)
         }
         Query::Count { entity, filter } | Query::List { entity, filter } => {
-            let (items, t, d) = measured(engine, || engine.scan_entity(*entity));
+            let (items, t, d) = measured(tally, || engine.scan_entity(tally, *entity));
             exec_reports.push((PlanOp::Scan { entity: *entity }, 0, items.len(), t, d));
 
             let kept = if filter.is_trivial() {
                 items
             } else {
                 let rows_in = items.len();
-                let (kept, t, d) = measured(engine, || {
+                let (kept, t, d) = measured(tally, || {
                     items
                         .into_iter()
-                        .filter(|&it| engine.item_matches(it, filter))
+                        .filter(|&it| engine.item_matches(tally, it, filter))
                         .collect::<Vec<_>>()
                 });
                 exec_reports.push((
@@ -579,9 +641,9 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
                 exec_reports.push((PlanOp::CountRows, rows_in, n, 0, StatsSnapshot::default()));
                 QueryResult::Count(n)
             } else {
-                let (rows, t, d) = measured(engine, || {
+                let (rows, t, d) = measured(tally, || {
                     kept.into_iter()
-                        .map(|it| engine.describe_item(it))
+                        .map(|it| engine.describe_item(tally, it))
                         .collect::<Vec<_>>()
                 });
                 exec_reports.push((PlanOp::Collect, rows_in, rows.len(), t, d));
@@ -589,22 +651,18 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
             }
         }
         Query::Paths { from, to, max_len } => {
-            let (a, t, d) = measured(engine, || engine.resolve_counted(*from));
+            let (a, t, d) = measured(tally, || engine.resolve_counted(tally, *from));
             let a = a?;
             exec_reports.push((PlanOp::Anchor { target: *from }, 0, 1, t, d));
-            let (b, t, d) = measured(engine, || engine.resolve_counted(*to));
+            let (b, t, d) = measured(tally, || engine.resolve_counted(tally, *to));
             let b = b?;
             exec_reports.push((PlanOp::Anchor { target: *to }, 0, 1, t, d));
 
             let cap = max_len.unwrap_or(16);
             // Same DFS as eval_query: simple paths over succ edges with a
             // length budget.
-            let (paths, t, d) = measured(engine, || {
-                let mut paths: Vec<Vec<PNode>> = Vec::new();
-                let mut stack = vec![a];
-                let mut on_path: BTreeSet<PNode> = [a].into();
-                dfs_counted(engine, a, b, cap, &mut stack, &mut on_path, &mut paths);
-                paths
+            let (paths, t, d) = measured(tally, || {
+                simple_paths(a, b, cap, &|n| engine.neighbors_counted(tally, n, false))
             });
             exec_reports.push((
                 PlanOp::EnumeratePaths { max_len: cap },
@@ -615,12 +673,12 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
             ));
 
             let rows_in = paths.len();
-            let (rendered, t, d) = measured(engine, || {
+            let (rendered, t, d) = measured(tally, || {
                 paths
                     .into_iter()
                     .map(|p| {
                         p.into_iter()
-                            .map(|n| engine.describe_item(ScanItem::Node(n)))
+                            .map(|n| engine.describe_item(tally, ScanItem::Node(n)))
                             .collect::<Vec<_>>()
                     })
                     .collect::<Vec<_>>()
@@ -660,11 +718,27 @@ pub fn analyze(engine: &PqlEngine, query: &Query) -> Result<Analysis, PqlError> 
     })
 }
 
-fn dfs_counted(
-    engine: &PqlEngine,
+/// Every simple path from `from` to `to` of at most `cap` edges, in the
+/// depth-first order `eval_query` enumerates them. `succ` is the counted
+/// adjacency source (one engine, or the shards plus the coordinator).
+pub(crate) fn simple_paths<'a>(
+    from: PNode,
+    to: PNode,
+    cap: usize,
+    succ: &impl Fn(PNode) -> &'a [PNode],
+) -> Vec<Vec<PNode>> {
+    let mut paths = Vec::new();
+    let mut stack = vec![from];
+    let mut on_path: BTreeSet<PNode> = [from].into();
+    dfs(from, to, cap, succ, &mut stack, &mut on_path, &mut paths);
+    paths
+}
+
+fn dfs<'a>(
     cur: PNode,
     to: PNode,
     budget: usize,
+    succ: &impl Fn(PNode) -> &'a [PNode],
     stack: &mut Vec<PNode>,
     on_path: &mut BTreeSet<PNode>,
     out: &mut Vec<Vec<PNode>>,
@@ -676,10 +750,10 @@ fn dfs_counted(
     if budget == 0 {
         return;
     }
-    for &n in engine.neighbors_counted(cur, false) {
+    for &n in succ(cur) {
         if on_path.insert(n) {
             stack.push(n);
-            dfs_counted(engine, n, to, budget - 1, stack, on_path, out);
+            dfs(n, to, budget - 1, succ, stack, on_path, out);
             stack.pop();
             on_path.remove(&n);
         }

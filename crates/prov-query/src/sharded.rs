@@ -8,26 +8,33 @@
 //! mirrors only the artifact-side adjacency and the artifact catalog in
 //! global ingest order — artifacts are the only cross-shard joints.
 //!
-//! Queries fan out across shards on scoped threads and merge:
+//! Queries scatter across shards and merge, all on the calling thread:
 //!
 //! * **closures** run a level-synchronous BFS — each frontier level's
-//!   neighbor fetches scatter to the owning shards (and the coordinator
-//!   for artifact nodes) in parallel, then gather sequentially in frontier
-//!   order, which reproduces the single engine's FIFO discovery order
-//!   bit for bit;
+//!   adjacency lists are borrowed from the owning shards (and from the
+//!   coordinator for artifact nodes), then gathered in frontier order,
+//!   which reproduces the single engine's FIFO discovery order bit for
+//!   bit;
 //! * **scans** over runs/executions run per shard and merge by key order
 //!   (executions are disjoint across shards, so the merged order equals
 //!   the single engine's scan order);
-//! * **filters and collects** route each row to its owning shard (or the
-//!   coordinator for artifacts) and reassemble by input position.
+//! * **filters and collects** send each row, in input order, to its
+//!   owning shard (or the coordinator for artifacts).
 //!
-//! Every shard adopts one shared [`StoreStats`] recorder, so EXPLAIN
-//! ANALYZE access totals sum exactly across shards: for closure and path
-//! queries the totals equal the unsharded engine's to the last counter.
-//! The plan grows a [`PlanOp::ScatterGather`] operator whose EXPLAIN
-//! ANALYZE rendering carries one child row per shard. The optimizer's
-//! decision core ([`crate::optimize`]) runs against summed cardinalities
-//! and posting lengths, so rewrite decisions match the single engine.
+//! No stage starts a thread: a server already runs one request thread per
+//! core, so a query has no idle core to borrow, and a stage's work (tens
+//! of microseconds) is smaller than a thread's start-up. The shards
+//! partition the data, not the CPU.
+//!
+//! Every shard and the coordinator count into the calling query's own
+//! tally, so EXPLAIN ANALYZE access totals sum exactly across shards — for
+//! closure and path queries they equal the unsharded engine's to the last
+//! counter — and stay exact while other queries run beside it. The
+//! query's total joins the engine's [`StoreStats`] when it returns. The
+//! plan grows a [`PlanOp::ScatterGather`] operator whose EXPLAIN ANALYZE
+//! rendering carries one child row per shard. The optimizer's decision
+//! core ([`crate::optimize`]) runs against summed cardinalities and
+//! posting lengths, so rewrite decisions match the single engine.
 
 use crate::ast::*;
 use crate::error::PqlError;
@@ -36,23 +43,23 @@ use crate::eval::{
 };
 use crate::optimize::{optimize_with, Optimization, QueryCache, Rewrite};
 use crate::parser::parse;
-use crate::plan::{Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp};
+use crate::plan::{
+    measured, simple_paths, tallied, Analysis, CostModel, OpReport, Plan, PlanNode, PlanOp, Tally,
+};
 use prov_core::model::RetrospectiveProvenance;
 use prov_store::{shard_of, StatsSnapshot, StoreStats, DEFAULT_SHARD_SEED};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use wf_engine::ExecId;
 
-/// Below this many routed rows a stage runs sequentially: scoped-thread
-/// spawn overhead would swamp the per-row work.
-const PARALLEL_FANOUT: usize = 256;
-
 /// Per-lane (shard or coordinator) accounting for one scatter stage.
+/// Busy time is kept in nanoseconds and converted once, in the report: a
+/// lane's share of one BFS level is often below a microsecond.
 #[derive(Debug, Default, Clone, Copy)]
 struct Lane {
     rows_in: usize,
     rows_out: usize,
-    micros: u64,
+    nanos: u64,
 }
 
 /// N [`PqlEngine`] shards behind one scatter-gather query surface.
@@ -64,7 +71,8 @@ struct Lane {
 pub struct ShardedEngine {
     shards: Vec<PqlEngine>,
     seed: u64,
-    /// Shared recorder: every shard's counted accessors bump this block.
+    /// Every access this engine's queries made, over all shards and the
+    /// coordinator: each query adds its tally when it returns.
     stats: StoreStats,
     /// Mirror of the single engine's artifact catalog (hash → dtype),
     /// maintained in global ingest order so first-writer-wins dtypes and
@@ -91,18 +99,10 @@ impl ShardedEngine {
     /// clamped to at least 1).
     pub fn with_seed(shards: usize, seed: u64) -> Self {
         let n = shards.max(1);
-        let stats = StoreStats::default();
-        let shards = (0..n)
-            .map(|_| {
-                let mut e = PqlEngine::new();
-                e.adopt_stats(&stats);
-                e
-            })
-            .collect();
         ShardedEngine {
-            shards,
+            shards: (0..n).map(|_| PqlEngine::new()).collect(),
             seed,
-            stats,
+            stats: StoreStats::default(),
             catalog: BTreeMap::new(),
             art_succ: BTreeMap::new(),
             art_pred: BTreeMap::new(),
@@ -136,7 +136,8 @@ impl ShardedEngine {
         &self.backend_key
     }
 
-    /// The shared access recorder (all shards bump it).
+    /// The access recorder: every access this engine's queries have made,
+    /// over all shards and the coordinator.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
     }
@@ -220,48 +221,44 @@ impl ShardedEngine {
     // with the same counting discipline, so per-operator snapshot deltas
     // (and their totals) match the unsharded engine.
 
-    fn artifact_neighbors_counted(&self, h: u64, reverse: bool) -> &[PNode] {
-        self.stats.add_keyed_lookups(1);
-        self.stats.add_node_reads(1);
+    fn artifact_neighbors_counted(&self, tally: &Tally, h: u64, reverse: bool) -> &[PNode] {
+        tally.add_keyed_lookups(1);
+        tally.add_node_reads(1);
         let m = if reverse {
             &self.art_pred
         } else {
             &self.art_succ
         };
         let ns = m.get(&h).map(|v| v.as_slice()).unwrap_or(&[]);
-        self.stats.add_edge_reads(ns.len() as u64);
+        tally.add_edge_reads(ns.len() as u64);
         ns
     }
 
-    fn artifact_matches_counted(&self, h: u64, cond: &Condition) -> bool {
-        self.stats.add_node_reads(1);
+    fn artifact_matches_counted(&self, tally: &Tally, h: u64, cond: &Condition) -> bool {
+        tally.add_node_reads(1);
         PqlEngine::dnf_matches(cond, |field| match field {
             Field::Dtype => self.catalog.get(&h).cloned(),
             _ => None,
         })
     }
 
-    fn artifact_describe_counted(&self, h: u64) -> ResultNode {
-        self.stats.add_node_reads(1);
+    fn artifact_describe_counted(&self, tally: &Tally, h: u64) -> ResultNode {
+        tally.add_node_reads(1);
         ResultNode::Artifact {
             hash: h,
             dtype: self.catalog.get(&h).cloned().unwrap_or_default(),
         }
     }
 
-    fn scan_artifacts_counted(&self) -> Vec<ScanItem> {
-        self.stats.add_scans(1);
+    fn scan_artifacts_counted(&self, tally: &Tally) -> Vec<ScanItem> {
+        tally.add_scans(1);
         let items: Vec<ScanItem> = self
             .catalog
             .keys()
             .map(|&h| ScanItem::Node(PNode::Artifact(h)))
             .collect();
-        self.stats.add_node_reads(items.len() as u64);
+        tally.add_node_reads(items.len() as u64);
         items
-    }
-
-    fn probe_dtype_counted(&self, value: &str) -> impl Iterator<Item = u64> + '_ {
-        self.dtype_index.probe(&self.stats, value)
     }
 
     /// The one shard an `exec = value` key is answered on: the owner of
@@ -294,226 +291,108 @@ impl ShardedEngine {
 
     /// Counted anchor resolution: identical counters and error strings to
     /// `PqlEngine::resolve_counted`.
-    fn resolve_sharded(&self, t: Target) -> Result<PNode, PqlError> {
+    fn resolve_sharded(&self, tally: &Tally, t: Target) -> Result<PNode, PqlError> {
         match t {
             Target::Artifact(h) => {
-                self.stats.add_keyed_lookups(1);
-                self.stats.add_node_reads(1);
+                tally.add_keyed_lookups(1);
+                tally.add_node_reads(1);
                 if self.catalog.contains_key(&h) {
                     Ok(PNode::Artifact(h))
                 } else {
                     Err(PqlError::Eval(format!("unknown artifact {h:016x}")))
                 }
             }
-            Target::Run(e, _) => self.shards[self.route(ExecId(e))].resolve_counted(t),
+            Target::Run(e, _) => self.shards[self.route(ExecId(e))].resolve_counted(tally, t),
         }
     }
 
-    fn neighbors_routed(&self, node: PNode, reverse: bool) -> &[PNode] {
+    fn neighbors_routed(&self, tally: &Tally, node: PNode, reverse: bool) -> &[PNode] {
         match node {
-            PNode::Run(e, _) => self.shards[self.route(e)].neighbors_counted(node, reverse),
-            PNode::Artifact(h) => self.artifact_neighbors_counted(h, reverse),
+            PNode::Run(e, _) => self.shards[self.route(e)].neighbors_counted(tally, node, reverse),
+            PNode::Artifact(h) => self.artifact_neighbors_counted(tally, h, reverse),
         }
     }
 
-    fn describe_routed(&self, node: PNode) -> ResultNode {
+    fn describe_routed(&self, tally: &Tally, node: PNode) -> ResultNode {
         match node {
-            PNode::Run(e, _) => self.shards[self.route(e)].describe_item(ScanItem::Node(node)),
-            PNode::Artifact(h) => self.artifact_describe_counted(h),
+            PNode::Run(e, _) => {
+                self.shards[self.route(e)].describe_item(tally, ScanItem::Node(node))
+            }
+            PNode::Artifact(h) => self.artifact_describe_counted(tally, h),
         }
-    }
-
-    /// Run `f`, returning its output plus (self-time µs, access delta)
-    /// against the shared recorder.
-    fn measured_stage<T>(&self, f: impl FnOnce() -> T) -> (T, u64, StatsSnapshot) {
-        let before = self.stats.snapshot();
-        let t0 = Instant::now();
-        let out = f();
-        let micros = t0.elapsed().as_micros() as u64;
-        (out, micros, self.stats.snapshot().delta(&before))
     }
 
     // ---- scatter stages -------------------------------------------------
 
-    /// Fetch the adjacency lists of one BFS frontier level: run nodes
-    /// scatter to their owning shards, artifact nodes to the coordinator
-    /// (chunked), in parallel above [`PARALLEL_FANOUT`]. Results come back
-    /// positioned by frontier index, so the sequential gather preserves
-    /// the single engine's discovery order. Lane `shards.len()` is the
+    /// Borrow the adjacency lists of one BFS frontier level: run nodes
+    /// from their owning shards, artifact nodes from the coordinator, one
+    /// lane at a time so each lane's rows and busy time are its own. Lists
+    /// come back positioned by frontier index, so the gather preserves the
+    /// single engine's discovery order. Lane `shards.len()` is the
     /// coordinator.
-    fn fetch_level(&self, level: &[PNode], reverse: bool, lanes: &mut [Lane]) -> Vec<Vec<PNode>> {
+    fn fetch_level(
+        &self,
+        tally: &Tally,
+        level: &[PNode],
+        reverse: bool,
+        lanes: &mut [Lane],
+    ) -> Vec<&[PNode]> {
         let n = self.shards.len();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut coord: Vec<usize> = Vec::new();
+        let mut by_lane: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
         for (i, node) in level.iter().enumerate() {
             match node {
-                PNode::Run(e, _) => per_shard[self.route(*e)].push(i),
-                PNode::Artifact(_) => coord.push(i),
+                PNode::Run(e, _) => by_lane[self.route(*e)].push(i),
+                PNode::Artifact(_) => by_lane[n].push(i),
             }
         }
-        let mut out: Vec<Option<Vec<PNode>>> = Vec::new();
-        out.resize_with(level.len(), || None);
-        if n > 1 && level.len() >= PARALLEL_FANOUT {
-            let chunk = coord.len().div_ceil(n).max(1);
-            type LanePart = (usize, Vec<(usize, Vec<PNode>)>, u64);
-            let results: Vec<LanePart> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (s, idxs) in per_shard.iter().enumerate() {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    let shard = &self.shards[s];
-                    handles.push(scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let fetched: Vec<(usize, Vec<PNode>)> = idxs
-                            .iter()
-                            .map(|&i| (i, shard.neighbors_counted(level[i], reverse).to_vec()))
-                            .collect();
-                        (s, fetched, t0.elapsed().as_micros() as u64)
-                    }));
-                }
-                for ch in coord.chunks(chunk) {
-                    handles.push(scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let fetched: Vec<(usize, Vec<PNode>)> = ch
-                            .iter()
-                            .map(|&i| {
-                                let PNode::Artifact(h) = level[i] else {
-                                    unreachable!("coordinator lane holds artifacts only")
-                                };
-                                (i, self.artifact_neighbors_counted(h, reverse).to_vec())
-                            })
-                            .collect();
-                        (n, fetched, t0.elapsed().as_micros() as u64)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter fetch thread"))
-                    .collect()
-            });
-            for (lane, fetched, micros) in results {
-                lanes[lane].micros += micros;
-                for (i, ns) in fetched {
-                    lanes[lane].rows_in += 1;
-                    lanes[lane].rows_out += ns.len();
-                    out[i] = Some(ns);
-                }
+        let mut out: Vec<&[PNode]> = vec![&[]; level.len()];
+        for (lane, idxs) in by_lane.iter().enumerate() {
+            if idxs.is_empty() {
+                continue;
             }
-        } else {
-            for (s, idxs) in per_shard.iter().enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                let t0 = Instant::now();
-                for &i in idxs {
-                    let ns = self.shards[s].neighbors_counted(level[i], reverse).to_vec();
-                    lanes[s].rows_in += 1;
-                    lanes[s].rows_out += ns.len();
-                    out[i] = Some(ns);
-                }
-                lanes[s].micros += t0.elapsed().as_micros() as u64;
+            let t0 = Instant::now();
+            for &i in idxs {
+                let ns = match level[i] {
+                    PNode::Run(..) => self.shards[lane].neighbors_counted(tally, level[i], reverse),
+                    PNode::Artifact(h) => self.artifact_neighbors_counted(tally, h, reverse),
+                };
+                lanes[lane].rows_in += 1;
+                lanes[lane].rows_out += ns.len();
+                out[i] = ns;
             }
-            if !coord.is_empty() {
-                let t0 = Instant::now();
-                for &i in &coord {
-                    let PNode::Artifact(h) = level[i] else {
-                        unreachable!("coordinator lane holds artifacts only")
-                    };
-                    let ns = self.artifact_neighbors_counted(h, reverse).to_vec();
-                    lanes[n].rows_in += 1;
-                    lanes[n].rows_out += ns.len();
-                    out[i] = Some(ns);
-                }
-                lanes[n].micros += t0.elapsed().as_micros() as u64;
-            }
+            lanes[lane].nanos += t0.elapsed().as_nanos() as u64;
         }
-        out.into_iter().map(Option::unwrap_or_default).collect()
+        out
     }
 
-    /// Route one map stage over mixed rows: run/execution rows to their
-    /// owning shard, artifact rows to the coordinator (chunked), parallel
-    /// above [`PARALLEL_FANOUT`]. Output is reassembled by input position,
-    /// so row order — and therefore result order — is preserved.
-    fn routed_map<R: Send>(
+    /// One map stage over mixed rows, in input order: run/execution rows
+    /// are answered by their owning shard, artifact rows by the
+    /// coordinator, so row order — and therefore result order — is the
+    /// input's.
+    fn routed_map<R>(
         &self,
         items: &[ScanItem],
-        shard_f: &(impl Fn(&PqlEngine, ScanItem) -> R + Sync),
-        coord_f: &(impl Fn(u64) -> R + Sync),
+        shard_f: impl Fn(&PqlEngine, ScanItem) -> R,
+        coord_f: impl Fn(u64) -> R,
     ) -> Vec<R> {
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut coord: Vec<usize> = Vec::new();
-        for (i, it) in items.iter().enumerate() {
-            match it {
+        items
+            .iter()
+            .map(|&it| match it {
                 ScanItem::Node(PNode::Run(e, _)) | ScanItem::Exec(e) => {
-                    per_shard[self.route(*e)].push(i)
+                    shard_f(&self.shards[self.route(e)], it)
                 }
-                ScanItem::Node(PNode::Artifact(_)) => coord.push(i),
-            }
-        }
-        let mut out: Vec<Option<R>> = Vec::new();
-        out.resize_with(items.len(), || None);
-        if n > 1 && items.len() >= PARALLEL_FANOUT {
-            let chunk = coord.len().div_ceil(n).max(1);
-            let results: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (s, idxs) in per_shard.iter().enumerate() {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    let shard = &self.shards[s];
-                    handles.push(scope.spawn(move || {
-                        idxs.iter()
-                            .map(|&i| (i, shard_f(shard, items[i])))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for ch in coord.chunks(chunk) {
-                    handles.push(scope.spawn(move || {
-                        ch.iter()
-                            .map(|&i| {
-                                let ScanItem::Node(PNode::Artifact(h)) = items[i] else {
-                                    unreachable!("coordinator lane holds artifacts only")
-                                };
-                                (i, coord_f(h))
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("routed stage thread"))
-                    .collect()
-            });
-            for part in results {
-                for (i, r) in part {
-                    out[i] = Some(r);
-                }
-            }
-        } else {
-            for (s, idxs) in per_shard.iter().enumerate() {
-                for &i in idxs {
-                    out[i] = Some(shard_f(&self.shards[s], items[i]));
-                }
-            }
-            for &i in &coord {
-                let ScanItem::Node(PNode::Artifact(h)) = items[i] else {
-                    unreachable!("coordinator lane holds artifacts only")
-                };
-                out[i] = Some(coord_f(h));
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every routed row is produced exactly once"))
+                ScanItem::Node(PNode::Artifact(h)) => coord_f(h),
+            })
             .collect()
     }
 
     /// Routed filter stage with the single engine's counting discipline.
-    fn filter_items(&self, items: &[ScanItem], filter: &Condition) -> Vec<ScanItem> {
-        let mask = self.routed_map(items, &|shard, it| shard.item_matches(it, filter), &|h| {
-            self.artifact_matches_counted(h, filter)
-        });
+    fn filter_items(&self, tally: &Tally, items: &[ScanItem], filter: &Condition) -> Vec<ScanItem> {
+        let mask = self.routed_map(
+            items,
+            |shard, it| shard.item_matches(tally, it, filter),
+            |h| self.artifact_matches_counted(tally, h, filter),
+        );
         items
             .iter()
             .zip(mask)
@@ -522,10 +401,12 @@ impl ShardedEngine {
     }
 
     /// Routed collect stage (result materialization).
-    fn describe_items(&self, items: &[ScanItem]) -> Vec<ResultNode> {
-        self.routed_map(items, &|shard, it| shard.describe_item(it), &|h| {
-            self.artifact_describe_counted(h)
-        })
+    fn describe_items(&self, tally: &Tally, items: &[ScanItem]) -> Vec<ResultNode> {
+        self.routed_map(
+            items,
+            |shard, it| shard.describe_item(tally, it),
+            |h| self.artifact_describe_counted(tally, h),
+        )
     }
 
     // ---- plans ----------------------------------------------------------
@@ -600,9 +481,8 @@ impl ShardedEngine {
     }
 
     /// Per-shard EXPLAIN ANALYZE child rows under a ScatterGather
-    /// operator. The shared recorder cannot attribute access deltas to a
-    /// single shard, so child rows carry rows and self-time only; the
-    /// parent operators' deltas stay exact.
+    /// operator. Child rows carry rows and self-time only; the access
+    /// deltas stay on the parent operators, where they are exact.
     fn lane_reports(&self, lanes: &[Lane], depth: usize) -> Vec<OpReport> {
         let n = self.shards.len();
         let mut out: Vec<OpReport> = lanes[..n]
@@ -614,7 +494,7 @@ impl ShardedEngine {
                 rows_in: lane.rows_in,
                 rows_out: lane.rows_out,
                 est_rows: None,
-                self_micros: lane.micros,
+                self_micros: lane.nanos / 1_000,
                 accesses: StatsSnapshot::default(),
             })
             .collect();
@@ -625,7 +505,7 @@ impl ShardedEngine {
                 rows_in: lanes[n].rows_in,
                 rows_out: lanes[n].rows_out,
                 est_rows: None,
-                self_micros: lanes[n].micros,
+                self_micros: lanes[n].nanos / 1_000,
                 accesses: StatsSnapshot::default(),
             });
         }
@@ -637,14 +517,18 @@ impl ShardedEngine {
     /// EXPLAIN ANALYZE through the naive sharded plan. Results are
     /// identical to `PqlEngine::eval_query` on the same corpus.
     pub fn analyze(&self, query: &Query) -> Result<Analysis, PqlError> {
+        tallied(&self.stats, |tally| self.analyze_with(tally, query))
+    }
+
+    fn analyze_with(&self, tally: &Tally, query: &Query) -> Result<Analysis, PqlError> {
         match query {
-            Query::Closure { .. } => self.analyze_closure(query),
-            Query::Count { .. } | Query::List { .. } => self.analyze_scan(query),
-            Query::Paths { .. } => self.analyze_paths(query),
+            Query::Closure { .. } => self.analyze_closure(tally, query),
+            Query::Count { .. } | Query::List { .. } => self.analyze_scan(tally, query),
+            Query::Paths { .. } => self.analyze_paths(tally, query),
         }
     }
 
-    fn analyze_closure(&self, query: &Query) -> Result<Analysis, PqlError> {
+    fn analyze_closure(&self, tally: &Tally, query: &Query) -> Result<Analysis, PqlError> {
         let Query::Closure {
             direction,
             target,
@@ -660,7 +544,7 @@ impl ShardedEngine {
         let t_total = Instant::now();
 
         let (anchor, anchor_micros, anchor_delta) =
-            self.measured_stage(|| self.resolve_sharded(*target));
+            measured(tally, || self.resolve_sharded(tally, *target));
         let anchor = anchor?;
 
         // Level-synchronous BFS: a level is the nodes discovered in FIFO
@@ -670,7 +554,7 @@ impl ShardedEngine {
         // Nodes at the depth limit are included but not expanded.
         let reverse = *direction == Direction::Upstream;
         let mut lanes = vec![Lane::default(); n + 1];
-        let (discovered, traverse_micros, traverse_delta) = self.measured_stage(|| {
+        let (discovered, traverse_micros, traverse_delta) = measured(tally, || {
             let mut discovered: Vec<PNode> = Vec::new();
             let mut seen: BTreeSet<PNode> = [anchor].into();
             let mut level: Vec<PNode> = vec![anchor];
@@ -681,9 +565,9 @@ impl ShardedEngine {
                         break;
                     }
                 }
-                let fetched = self.fetch_level(&level, reverse, &mut lanes);
+                let fetched = self.fetch_level(tally, &level, reverse, &mut lanes);
                 let mut next: Vec<PNode> = Vec::new();
-                for ns in &fetched {
+                for ns in fetched {
                     for &m in ns {
                         if seen.insert(m) {
                             discovered.push(m);
@@ -698,14 +582,14 @@ impl ShardedEngine {
         });
         let discovered_rows = discovered.len();
         let fetched_rows: usize = lanes.iter().map(|l| l.rows_out).sum();
-        let gather_micros: u64 = lanes.iter().map(|l| l.micros).sum();
+        let gather_micros = lanes.iter().map(|l| l.nanos).sum::<u64>() / 1_000;
 
         let mut filter_report: Option<(usize, usize, u64, StatsSnapshot)> = None;
         let kept: Vec<PNode> = if filter.is_trivial() {
             discovered
         } else {
             let items: Vec<ScanItem> = discovered.iter().map(|&p| ScanItem::Node(p)).collect();
-            let (kept_items, t, d) = self.measured_stage(|| self.filter_items(&items, filter));
+            let (kept_items, t, d) = measured(tally, || self.filter_items(tally, &items, filter));
             filter_report = Some((items.len(), kept_items.len(), t, d));
             kept_items
                 .into_iter()
@@ -720,7 +604,7 @@ impl ShardedEngine {
 
         let collect_items: Vec<ScanItem> = kept.iter().map(|&p| ScanItem::Node(p)).collect();
         let (rows, collect_micros, collect_delta) =
-            self.measured_stage(|| self.describe_items(&collect_items));
+            measured(tally, || self.describe_items(tally, &collect_items));
 
         // Assemble reports in plan (render) order, consuming cost estimates
         // positionally: Collect, [Filter], ScatterGather, Traverse, Anchor.
@@ -791,14 +675,13 @@ impl ShardedEngine {
         })
     }
 
-    fn analyze_scan(&self, query: &Query) -> Result<Analysis, PqlError> {
+    fn analyze_scan(&self, tally: &Tally, query: &Query) -> Result<Analysis, PqlError> {
         let (Query::Count { entity, filter } | Query::List { entity, filter }) = query else {
             unreachable!("analyze_scan dispatches on count/list queries")
         };
         let n = self.shards.len();
-        let cost = self.cost_model();
         let plan = self.naive_plan(query);
-        let mut ests = cost.plan_estimates(&plan).into_iter();
+        let mut ests = self.cost_model().plan_estimates(&plan).into_iter();
         let t_total = Instant::now();
 
         // Scan stage: artifacts are coordinator-resident; runs/executions
@@ -808,47 +691,19 @@ impl ShardedEngine {
         let mut lanes = vec![Lane::default(); n];
         let mut gather_micros = 0u64;
         let (items, scan_micros, scan_delta) = if *entity == Entity::Artifacts {
-            self.measured_stage(|| self.scan_artifacts_counted())
+            measured(tally, || self.scan_artifacts_counted(tally))
         } else {
-            let (parts, micros, delta) = self.measured_stage(|| {
-                if n > 1 && cost.entity_rows(*entity) as usize >= PARALLEL_FANOUT {
-                    let fetched: Vec<(usize, Vec<ScanItem>, u64)> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = self
-                            .shards
-                            .iter()
-                            .enumerate()
-                            .map(|(s, shard)| {
-                                scope.spawn(move || {
-                                    let t0 = Instant::now();
-                                    let items = shard.scan_entity(*entity);
-                                    (s, items, t0.elapsed().as_micros() as u64)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("scatter scan thread"))
-                            .collect()
-                    });
-                    fetched
-                } else {
-                    self.shards
-                        .iter()
-                        .enumerate()
-                        .map(|(s, shard)| {
-                            let t0 = Instant::now();
-                            let items = shard.scan_entity(*entity);
-                            (s, items, t0.elapsed().as_micros() as u64)
-                        })
-                        .collect()
+            let (mut items, micros, delta) = measured(tally, || {
+                let mut items: Vec<ScanItem> = Vec::new();
+                for (lane, shard) in lanes.iter_mut().zip(&self.shards) {
+                    let t0 = Instant::now();
+                    let part = shard.scan_entity(tally, *entity);
+                    lane.nanos = t0.elapsed().as_nanos() as u64;
+                    lane.rows_out = part.len();
+                    items.extend(part);
                 }
+                items
             });
-            let mut items: Vec<ScanItem> = Vec::new();
-            for (s, part, micros) in parts {
-                lanes[s].rows_out = part.len();
-                lanes[s].micros = micros;
-                items.extend(part);
-            }
             let t0 = Instant::now();
             items.sort_by_key(scan_key);
             gather_micros = t0.elapsed().as_micros() as u64;
@@ -860,7 +715,7 @@ impl ShardedEngine {
         let kept = if filter.is_trivial() {
             items
         } else {
-            let (kept, t, d) = self.measured_stage(|| self.filter_items(&items, filter));
+            let (kept, t, d) = measured(tally, || self.filter_items(tally, &items, filter));
             filter_report = Some((total, kept.len(), t, d));
             kept
         };
@@ -880,7 +735,7 @@ impl ShardedEngine {
             });
             QueryResult::Count(kept.len())
         } else {
-            let (rows, t, d) = self.measured_stage(|| self.describe_items(&kept));
+            let (rows, t, d) = measured(tally, || self.describe_items(tally, &kept));
             ops.push(OpReport {
                 label: PlanOp::Collect.label(),
                 depth: 0,
@@ -939,7 +794,7 @@ impl ShardedEngine {
         })
     }
 
-    fn analyze_paths(&self, query: &Query) -> Result<Analysis, PqlError> {
+    fn analyze_paths(&self, tally: &Tally, query: &Query) -> Result<Analysis, PqlError> {
         let Query::Paths { from, to, max_len } = query else {
             unreachable!("analyze_paths dispatches on path queries")
         };
@@ -947,28 +802,28 @@ impl ShardedEngine {
         let mut ests = self.cost_model().plan_estimates(&plan).into_iter();
         let t_total = Instant::now();
 
-        let (a, ta, da) = self.measured_stage(|| self.resolve_sharded(*from));
+        let (a, ta, da) = measured(tally, || self.resolve_sharded(tally, *from));
         let a = a?;
-        let (b, tb, db) = self.measured_stage(|| self.resolve_sharded(*to));
+        let (b, tb, db) = measured(tally, || self.resolve_sharded(tally, *to));
         let b = b?;
 
         let cap = max_len.unwrap_or(16);
         // Same DFS as the single engine: simple paths over succ edges with
         // a length budget; run adjacency comes from the owning shard,
         // artifact adjacency from the coordinator mirror.
-        let (paths, tp, dp) = self.measured_stage(|| {
-            let mut paths: Vec<Vec<PNode>> = Vec::new();
-            let mut stack = vec![a];
-            let mut on_path: BTreeSet<PNode> = [a].into();
-            self.dfs_routed(a, b, cap, &mut stack, &mut on_path, &mut paths);
-            paths
+        let (paths, tp, dp) = measured(tally, || {
+            simple_paths(a, b, cap, &|n| self.neighbors_routed(tally, n, false))
         });
 
         let rows_in = paths.len();
-        let (rendered, tc, dc) = self.measured_stage(|| {
+        let (rendered, tc, dc) = measured(tally, || {
             paths
                 .into_iter()
-                .map(|p| p.into_iter().map(|n| self.describe_routed(n)).collect())
+                .map(|p| {
+                    p.into_iter()
+                        .map(|n| self.describe_routed(tally, n))
+                        .collect()
+                })
                 .collect::<Vec<Vec<ResultNode>>>()
         });
 
@@ -1016,33 +871,6 @@ impl ShardedEngine {
             total_micros: t_total.elapsed().as_micros() as u64,
             ops,
         })
-    }
-
-    fn dfs_routed(
-        &self,
-        cur: PNode,
-        to: PNode,
-        budget: usize,
-        stack: &mut Vec<PNode>,
-        on_path: &mut BTreeSet<PNode>,
-        out: &mut Vec<Vec<PNode>>,
-    ) {
-        if cur == to {
-            out.push(stack.clone());
-            return;
-        }
-        if budget == 0 {
-            return;
-        }
-        let ns = self.neighbors_routed(cur, false).to_vec();
-        for n in ns {
-            if on_path.insert(n) {
-                stack.push(n);
-                self.dfs_routed(n, to, budget - 1, stack, on_path, out);
-                stack.pop();
-                on_path.remove(&n);
-            }
-        }
     }
 
     // ---- optimizer surface ----------------------------------------------
@@ -1138,25 +966,27 @@ impl ShardedEngine {
     /// `analyze_optimized`. Falls back to [`Self::analyze`] when no rewrite
     /// applies.
     pub fn analyze_optimized(&self, query: &Query) -> Result<Analysis, PqlError> {
-        let opt = self.optimize(query);
-        match opt.chosen.clone() {
-            Rewrite::None => self.analyze(query),
-            Rewrite::MetaCount { entity } => Ok(self.analyze_meta_count(opt, entity)),
-            Rewrite::IndexLookup { entity, keys, est } => {
-                self.analyze_index_lookup(opt, query, entity, keys, est)
+        tallied(&self.stats, |tally| {
+            let opt = self.optimize(query);
+            match opt.chosen.clone() {
+                Rewrite::None => self.analyze_with(tally, query),
+                Rewrite::MetaCount { entity } => Ok(self.analyze_meta_count(tally, opt, entity)),
+                Rewrite::IndexLookup { entity, keys, est } => {
+                    self.analyze_index_lookup(tally, opt, query, entity, keys, est)
+                }
+                Rewrite::NeighborProbe => self.analyze_neighbor_probe(tally, opt, query),
             }
-            Rewrite::NeighborProbe => self.analyze_neighbor_probe(opt, query),
-        }
+        })
     }
 
-    fn analyze_meta_count(&self, opt: Optimization, entity: Entity) -> Analysis {
+    fn analyze_meta_count(&self, tally: &Tally, opt: Optimization, entity: Entity) -> Analysis {
         let n = self.shards.len();
         let t_total = Instant::now();
         if entity == Entity::Artifacts {
             // One keyed lookup against the coordinator catalog, mirroring
             // the single engine's meta_count counting.
-            let (total, t, d) = self.measured_stage(|| {
-                self.stats.add_keyed_lookups(1);
+            let (total, t, d) = measured(tally, || {
+                tally.add_keyed_lookups(1);
                 self.catalog.len()
             });
             return Analysis {
@@ -1175,13 +1005,13 @@ impl ShardedEngine {
             };
         }
         let mut lanes = vec![Lane::default(); n];
-        let (total, t, d) = self.measured_stage(|| {
+        let (total, t, d) = measured(tally, || {
             let mut total = 0usize;
             for (s, shard) in self.shards.iter().enumerate() {
                 let t0 = Instant::now();
-                let c = shard.meta_count(entity);
+                let c = shard.meta_count(tally, entity);
                 lanes[s].rows_out = c;
-                lanes[s].micros = t0.elapsed().as_micros() as u64;
+                lanes[s].nanos = t0.elapsed().as_nanos() as u64;
                 total += c;
             }
             total
@@ -1215,6 +1045,7 @@ impl ShardedEngine {
 
     fn analyze_index_lookup(
         &self,
+        tally: &Tally,
         opt: Optimization,
         query: &Query,
         entity: Entity,
@@ -1232,7 +1063,7 @@ impl ShardedEngine {
 
         // Union of postings through a BTreeSet: candidates come out in key
         // order, exactly the order a (merged) scan enumerates.
-        let (candidates, lookup_micros, lookup_delta) = self.measured_stage(|| match entity {
+        let (candidates, lookup_micros, lookup_delta) = measured(tally, || match entity {
             Entity::Runs => {
                 let mut set = BTreeSet::new();
                 for (s, shard) in self.shards.iter().enumerate() {
@@ -1242,13 +1073,17 @@ impl ShardedEngine {
                         if *field == Field::Exec && self.exec_shard(value) != s {
                             continue;
                         }
-                        for key in shard.probe_run_index(*field, value).into_iter().flatten() {
+                        for key in shard
+                            .probe_run_index(tally, *field, value)
+                            .into_iter()
+                            .flatten()
+                        {
                             cnt += 1;
                             set.insert(key);
                         }
                     }
                     lanes[s].rows_out = cnt;
-                    lanes[s].micros = t0.elapsed().as_micros() as u64;
+                    lanes[s].nanos = t0.elapsed().as_nanos() as u64;
                     probed_rows += cnt;
                 }
                 set.into_iter()
@@ -1258,7 +1093,7 @@ impl ShardedEngine {
             Entity::Artifacts => {
                 let mut set: BTreeSet<u64> = BTreeSet::new();
                 for (_, value) in &keys {
-                    set.extend(self.probe_dtype_counted(value));
+                    set.extend(self.dtype_index.probe(tally, value));
                 }
                 set.into_iter()
                     .map(|h| ScanItem::Node(PNode::Artifact(h)))
@@ -1269,7 +1104,7 @@ impl ShardedEngine {
 
         let rows_in = candidates.len();
         let (kept, filter_micros, filter_delta) =
-            self.measured_stage(|| self.filter_items(&candidates, filter));
+            measured(tally, || self.filter_items(tally, &candidates, filter));
 
         let mut ops = Vec::new();
         let result = if matches!(query, Query::Count { .. }) {
@@ -1284,7 +1119,7 @@ impl ShardedEngine {
             });
             QueryResult::Count(kept.len())
         } else {
-            let (rows, t, d) = self.measured_stage(|| self.describe_items(&kept));
+            let (rows, t, d) = measured(tally, || self.describe_items(tally, &kept));
             ops.push(OpReport {
                 label: PlanOp::Collect.label(),
                 depth: 0,
@@ -1316,7 +1151,7 @@ impl ShardedEngine {
                 rows_in: probed_rows,
                 rows_out: rows_in,
                 est_rows: Some(est),
-                self_micros: lanes.iter().map(|l| l.micros).sum(),
+                self_micros: lanes.iter().map(|l| l.nanos).sum::<u64>() / 1_000,
                 accesses: StatsSnapshot::default(),
             });
             ops.extend(self.lane_reports(&lanes, 3));
@@ -1342,6 +1177,7 @@ impl ShardedEngine {
 
     fn analyze_neighbor_probe(
         &self,
+        tally: &Tally,
         opt: Optimization,
         query: &Query,
     ) -> Result<Analysis, PqlError> {
@@ -1360,7 +1196,7 @@ impl ShardedEngine {
         // position after the final reversal (linear chain).
         let mut stages: Vec<(String, usize, usize, Option<u64>, u64, StatsSnapshot)> = Vec::new();
 
-        let (anchor, t, d) = self.measured_stage(|| self.resolve_sharded(*target));
+        let (anchor, t, d) = measured(tally, || self.resolve_sharded(tally, *target));
         let anchor = anchor?;
         stages.push((
             PlanOp::Anchor { target: *target }.label(),
@@ -1373,10 +1209,10 @@ impl ShardedEngine {
 
         let reverse = *direction == Direction::Upstream;
         // Same discovery order as the BFS's first (and only) level.
-        let (discovered, t, d) = self.measured_stage(|| {
+        let (discovered, t, d) = measured(tally, || {
             let mut out = Vec::new();
             let mut seen: BTreeSet<PNode> = [anchor].into();
-            for &m in self.neighbors_routed(anchor, reverse) {
+            for &m in self.neighbors_routed(tally, anchor, reverse) {
                 if seen.insert(m) {
                     out.push(m);
                 }
@@ -1400,7 +1236,7 @@ impl ShardedEngine {
             discovered
         } else {
             let items: Vec<ScanItem> = discovered.iter().map(|&p| ScanItem::Node(p)).collect();
-            let (kept_items, t, d) = self.measured_stage(|| self.filter_items(&items, filter));
+            let (kept_items, t, d) = measured(tally, || self.filter_items(tally, &items, filter));
             stages.push((
                 PlanOp::Filter {
                     filter: filter.clone(),
@@ -1424,7 +1260,7 @@ impl ShardedEngine {
         };
 
         let collect_items: Vec<ScanItem> = kept.iter().map(|&p| ScanItem::Node(p)).collect();
-        let (rows, t, d) = self.measured_stage(|| self.describe_items(&collect_items));
+        let (rows, t, d) = measured(tally, || self.describe_items(tally, &collect_items));
         let collect_est = stages.last().and_then(|s| s.3);
         stages.push((
             PlanOp::Collect.label(),
@@ -1525,11 +1361,13 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::{analyze_optimized, eval_optimized};
+    use crate::optimize::analyze_optimized;
     use crate::plan::analyze;
     use prov_core::capture::{CaptureLevel, ProvenanceCapture};
+    use prov_core::model::{Artifact, Environment, ModuleRun};
     use wf_engine::synth::figure1_workflow;
-    use wf_engine::{standard_registry, Executor};
+    use wf_engine::{standard_registry, Executor, RunStatus};
+    use wf_model::{NodeId, WorkflowId};
 
     fn corpus(n_docs: usize) -> (Vec<RetrospectiveProvenance>, wf_engine::synth::Figure1Nodes) {
         let (wf, nodes) = figure1_workflow(1);
@@ -1549,6 +1387,107 @@ mod tests {
             sharded.ingest(d);
         }
         (single, sharded)
+    }
+
+    /// The fan-in shape of E22, two generations deep: `width` one-run
+    /// executions consume artifact `a` and produce `b`, `width` more
+    /// consume `b` and produce `c`. Every closure through the middle has
+    /// levels `width` runs wide. Every seventh execution failed, and
+    /// module names alternate, so filters keep some rows and drop others.
+    fn fan_in_corpus(width: usize) -> (Vec<RetrospectiveProvenance>, [u64; 3]) {
+        let hashes = [0xFA_0000_0001, 0xFA_0000_0002, 0xFA_0000_0003];
+        let mut docs = Vec::new();
+        for generation in 0..2 {
+            let (consumed, produced) = (hashes[generation], hashes[generation + 1]);
+            for w in 0..width {
+                let i = generation * width + w;
+                let status = if i.is_multiple_of(7) {
+                    RunStatus::Failed
+                } else {
+                    RunStatus::Succeeded
+                };
+                let identity = if w % 2 == 0 { "AlignWarp@1" } else { "Slice@1" };
+                let artifacts = [consumed, produced]
+                    .into_iter()
+                    .map(|hash| {
+                        let dtype = "grid".to_string();
+                        let artifact = Artifact {
+                            hash,
+                            dtype,
+                            size: 64,
+                            preview: None,
+                        };
+                        (hash, artifact)
+                    })
+                    .collect();
+                docs.push(RetrospectiveProvenance {
+                    exec: ExecId(i as u64),
+                    workflow: WorkflowId(0xFA),
+                    workflow_name: "fan-in".to_string(),
+                    status,
+                    started_millis: 0,
+                    finished_millis: 1,
+                    runs: vec![ModuleRun {
+                        node: NodeId(0),
+                        identity: identity.to_string(),
+                        params: Vec::new(),
+                        status,
+                        started_millis: 0,
+                        elapsed_micros: 1,
+                        from_cache: false,
+                        error: None,
+                        inputs: vec![("in".to_string(), consumed)],
+                        outputs: vec![("out".to_string(), produced)],
+                        attempts: 1,
+                        backoff_micros: 0,
+                    }],
+                    artifacts,
+                    environment: Environment::current(1),
+                    resumed_from: None,
+                });
+            }
+        }
+        (docs, hashes)
+    }
+
+    /// `sharded` answers `q` as `single` does, through the naive and the
+    /// optimized plan: the same rows in the same order, or the same error.
+    /// The naive plan also makes the same accesses, save that a run or
+    /// execution scan is one scan per shard.
+    fn assert_matches_single(single: &PqlEngine, sharded: &ShardedEngine, q: &str) {
+        let parsed = parse(q).unwrap();
+        let n = sharded.shard_count();
+        let reference = single.eval_query(&parsed);
+        match (analyze(single, &parsed), sharded.analyze(&parsed)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(Ok(&a.result), reference.as_ref(), "plan sanity on {q}");
+                assert_eq!(b.result, a.result, "naive divergence on {q}, {n} shard(s)");
+                let mut expected = a.total_accesses();
+                if let Query::Count { entity, .. } | Query::List { entity, .. } = parsed {
+                    if entity != Entity::Artifacts {
+                        expected.scans = n as u64;
+                    }
+                }
+                let got = b.total_accesses();
+                assert_eq!(got, expected, "access totals on {q}, {n} shard(s)");
+            }
+            (Err(a), Err(b)) => assert_eq!(b, a, "error divergence on {q}, {n} shard(s)"),
+            (a, b) => panic!("{q}, {n} shard(s): single {a:?}, sharded {b:?}"),
+        }
+        match (
+            analyze_optimized(single, &parsed),
+            sharded.analyze_optimized(&parsed),
+        ) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(Ok(&a.result), reference.as_ref(), "optimizer sanity on {q}");
+                assert_eq!(
+                    b.result, a.result,
+                    "optimized divergence on {q}, {n} shard(s)"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(b, a, "optimized error on {q}, {n} shard(s)"),
+            (a, b) => panic!("optimized {q}, {n} shard(s): single {a:?}, sharded {b:?}"),
+        }
     }
 
     #[test]
@@ -1598,25 +1537,107 @@ mod tests {
                     iso.digest()
                 ),
             ] {
-                let parsed = parse(&q).unwrap();
-                let reference = single.eval_query(&parsed).unwrap();
-                assert_eq!(
-                    sharded.eval_query(&parsed).unwrap(),
-                    reference,
-                    "naive divergence on {q} with {shards} shard(s)"
-                );
-                assert_eq!(
-                    sharded.eval_optimized(&parsed).unwrap(),
-                    reference,
-                    "optimized divergence on {q} with {shards} shard(s)"
-                );
-                assert_eq!(
-                    eval_optimized(&single, &parsed).unwrap(),
-                    reference,
-                    "single-engine optimizer sanity on {q}"
-                );
+                assert_matches_single(&single, &sharded, &q);
             }
         }
+
+        // The wide stages: a fan-in of 300 executions gives both closure
+        // directions levels and collects of at least 256 rows, and the
+        // run and execution scans at least 256 rows each.
+        let (docs, [a, b, c]) = fan_in_corpus(300);
+        for shards in [2, 4] {
+            let (single, sharded) = engines(shards, &docs);
+            let widest = single.eval(&format!("impact of artifact {a:016x} depth 1"));
+            assert!(widest.unwrap().len() >= 256, "one level is 256+ runs wide");
+            for q in [
+                format!("lineage of artifact {c:016x}"),
+                format!("lineage of artifact {c:016x} where status = failed"),
+                format!("lineage of artifact {c:016x} depth 2"),
+                format!("impact of artifact {a:016x}"),
+                format!("impact of artifact {a:016x} where module contains warp"),
+                format!("impact of artifact {a:016x} depth 1"),
+                format!("impact of artifact {b:016x} depth 1"),
+                "impact of run 5/0".to_string(),
+                format!("paths from artifact {a:016x} to artifact {b:016x}"),
+                "list runs".to_string(),
+                "list runs where module contains warp".to_string(),
+                "count runs where status = failed".to_string(),
+                "list executions where status = failed".to_string(),
+                "count executions".to_string(),
+                "list artifacts".to_string(),
+                "lineage of artifact 00000000000000aa".to_string(),
+                "impact of run 999999/0".to_string(),
+                format!("paths from artifact {a:016x} to artifact 00000000000000bb"),
+            ] {
+                assert_matches_single(&single, &sharded, &q);
+            }
+        }
+    }
+
+    /// Each query's access counts are its own: readers that analyze at
+    /// the same time report exactly what one alone reports, per operator
+    /// and in total, and the engine's recorder holds the exact sum.
+    fn assert_counts_exact_under_concurrency(
+        run: &(impl Fn(&Query) -> Analysis + Sync),
+        stats: &StoreStats,
+        queries: &[Query],
+    ) {
+        let per_op = |a: &Analysis| -> Vec<(String, StatsSnapshot)> {
+            a.ops
+                .iter()
+                .map(|o| (o.label.clone(), o.accesses))
+                .collect()
+        };
+        let alone: Vec<_> = queries.iter().map(|q| per_op(&run(q))).collect();
+        let before = stats.snapshot();
+        let rounds = 50;
+        let totals: Vec<StatsSnapshot> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut total = StatsSnapshot::default();
+                        for _ in 0..rounds {
+                            for (q, expected) in queries.iter().zip(&alone) {
+                                let a = run(q);
+                                assert_eq!(&per_op(&a), expected, "per-operator accesses");
+                                total = total.merge(&a.total_accesses());
+                            }
+                        }
+                        total
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let sum = totals[0].merge(&totals[1]);
+        assert_eq!(stats.snapshot().delta(&before), sum, "recorder total");
+    }
+
+    #[test]
+    fn concurrent_analyses_count_exactly_what_one_alone_counts() {
+        let (docs, [a, _, c]) = fan_in_corpus(300);
+        let (single, sharded) = engines(2, &docs);
+        let queries: Vec<Query> = [
+            format!("lineage of artifact {c:016x}"),
+            format!("impact of artifact {a:016x} where status = failed"),
+            format!("impact of artifact {a:016x} depth 1"),
+            "list runs where status = failed".to_string(),
+            "list executions where status = failed".to_string(),
+            "count runs".to_string(),
+        ]
+        .iter()
+        .map(|q| parse(q).unwrap())
+        .collect();
+        assert_counts_exact_under_concurrency(
+            &|q| analyze_optimized(&single, q).unwrap(),
+            single.stats(),
+            &queries,
+        );
+        assert_counts_exact_under_concurrency(
+            &|q| sharded.analyze_optimized(q).unwrap(),
+            sharded.stats(),
+            &queries,
+        );
     }
 
     #[test]

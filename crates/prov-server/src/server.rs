@@ -81,10 +81,10 @@ pub struct ServerConfig {
     /// Partitions per namespace engine. `1` (the default) keeps the
     /// single [`PqlEngine`]; `N > 1` backs every namespace with a
     /// [`ShardedEngine`] — executions are routed to shards by seeded
-    /// hash, queries evaluate by parallel scatter-gather, and (under
-    /// durability) each shard owns its own WAL directory. A durable
-    /// namespace pins its shard layout on first open; on restart the
-    /// on-disk layout wins over this knob.
+    /// hash, queries evaluate by scatter-gather on the request thread,
+    /// and (under durability) each shard owns its own WAL directory. A
+    /// durable namespace pins its shard layout on first open; on restart
+    /// the on-disk layout wins over this knob.
     pub shards: usize,
 }
 
@@ -332,7 +332,8 @@ impl WalMetrics {
 /// The PQL engine behind one namespace: a single [`PqlEngine`], or — when
 /// the server runs with [`ServerConfig::shards`]` > 1` — a
 /// [`ShardedEngine`] that partitions the corpus by seeded execution hash
-/// and answers queries by parallel scatter-gather (`prov_query::sharded`).
+/// and answers queries by scatter-gather on the request thread
+/// (`prov_query::sharded`).
 /// Both variants are result-identical.
 #[derive(Debug)]
 enum NsEngine {
@@ -2332,6 +2333,74 @@ mod tests {
         let stats = srv.session("alice").stats("lab").unwrap();
         assert_eq!(stats.executions, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sum of every `prov_tenant_rows_read_total` series.
+    fn rows_read(srv: &ProvServer) -> u64 {
+        srv.render_metrics()
+            .lines()
+            .filter(|l| l.starts_with("prov_tenant_rows_read_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn rows_read_stays_exact_under_concurrent_cold_queries() {
+        // Sixty-four executions of one workflow share their artifacts, so
+        // every closure spans all of them. Each text is distinct, so every
+        // query misses the cache and is counted once.
+        let docs: Vec<RetrospectiveProvenance> = (1..=64)
+            .map(|e| {
+                let mut doc = retro(1);
+                doc.exec = wf_engine::ExecId(e);
+                doc
+            })
+            .collect();
+        let (_, nodes) = figure1_workflow(1);
+        let iso = docs[0].produced(nodes.save_iso, "file").unwrap().hash;
+        let grid = docs[0].produced(nodes.load, "grid").unwrap().hash;
+        let texts: Vec<String> = (2..202)
+            .flat_map(|d| {
+                [
+                    format!("lineage of artifact {iso:016x} depth {d}"),
+                    format!("impact of artifact {grid:016x} depth {d}"),
+                ]
+            })
+            .collect();
+        for shards in [1, 2] {
+            let loaded = || {
+                let srv = Arc::new(ProvServer::new(ServerConfig {
+                    shards,
+                    ..ServerConfig::default()
+                }));
+                for doc in &docs {
+                    srv.session("alice").ingest("lab", doc).unwrap();
+                }
+                srv
+            };
+            let alone = loaded();
+            let session = alone.session("alice");
+            for text in &texts {
+                assert!(!session.query("lab", text).unwrap().cached);
+            }
+            let together = loaded();
+            std::thread::scope(|scope| {
+                for half in texts.chunks(texts.len() / 2) {
+                    let session = together.session("alice");
+                    scope.spawn(move || {
+                        for text in half {
+                            assert!(!session.query("lab", text).unwrap().cached);
+                        }
+                    });
+                }
+            });
+            assert!(rows_read(&alone) > 0);
+            assert_eq!(
+                rows_read(&together),
+                rows_read(&alone),
+                "{shards} shard(s): concurrent readers must not count each other's rows"
+            );
+        }
     }
 
     #[test]

@@ -143,6 +143,20 @@ impl StoreStats {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
+    /// Record a whole block of accesses at once: every counter of `s` is
+    /// added to its twin here (no-op while recording is off). A reader that
+    /// tallies its own work privately hands it over with one call.
+    pub fn add(&self, s: &StatsSnapshot) {
+        self.add_node_reads(s.node_reads);
+        self.add_edge_reads(s.edge_reads);
+        self.add_triple_reads(s.triple_reads);
+        self.add_row_reads(s.row_reads);
+        self.add_record_reads(s.record_reads);
+        self.add_keyed_lookups(s.keyed_lookups);
+        self.add_scans(s.scans);
+        self.add_bytes_deserialized(s.bytes_deserialized);
+    }
+
     /// Reset every counter to zero (recording state is unchanged).
     pub fn reset(&self) {
         self.inner.node_reads.store(0, Ordering::Relaxed);
@@ -285,6 +299,26 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.scans, 2);
         assert_eq!(snap.row_reads, 0);
+    }
+
+    #[test]
+    fn add_records_a_block_counterwise() {
+        let s = StoreStats::new();
+        s.add_node_reads(1);
+        let block = StatsSnapshot {
+            node_reads: 2,
+            edge_reads: 3,
+            scans: 1,
+            bytes_deserialized: 9,
+            ..Default::default()
+        };
+        s.add(&block);
+        let mut expected = block;
+        expected.node_reads += 1;
+        assert_eq!(s.snapshot(), expected);
+        s.set_enabled(false);
+        s.add(&block);
+        assert_eq!(s.snapshot(), expected, "off means off");
     }
 
     #[test]

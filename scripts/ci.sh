@@ -49,6 +49,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release"
+# The same tests once more, optimized: a test whose verdict depends on how
+# fast the build runs (a timing that truncates to zero, a race window)
+# fails here rather than on a user's `--release` run.
+cargo test --release -q --workspace
+
 echo "==> telemetry smoke: trace a demo run, validate the Chrome trace"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
